@@ -32,9 +32,8 @@ from .quantum_gas import (BOSE_EINSTEIN, BOSE_EINSTEIN_NO_GROUND,
                           limit_coefficients, limit_curvature, metric,
                           metric_be, metric_classical, metric_fd,
                           metric_field)
-from .special_functions import (PolylogQuery, gamma_real, polylog,
-                                polylog_quadrature, polylog_series,
-                                polylog_step_down, zeta_real)
+from .special_functions import (gamma_real, polylog, polylog_quadrature,
+                                polylog_series, polylog_step_down, zeta_real)
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,7 @@ __all__ = [
     "free_energy_field", "geometry_sample", "ground_state_free_energy",
     "ground_state_occupation", "limit_coefficients", "limit_curvature",
     "metric", "metric_be", "metric_classical", "metric_fd", "metric_field",
-    "PolylogQuery", "gamma_real", "polylog", "polylog_quadrature",
-    "polylog_series", "polylog_step_down", "zeta_real",
+    "gamma_real", "polylog", "polylog_quadrature", "polylog_series",
+    "polylog_step_down", "zeta_real",
     "__version__",
 ]

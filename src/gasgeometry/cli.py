@@ -34,15 +34,6 @@ CSV_COLUMNS = ("beta", "xi", "eta", "kappa", "stat",
                "g11", "g12", "g22", "det_g", "g_bar", "R", "R_bar", "U", "N",
                "error")
 
-_OUTPUT_FIELDS = {
-    "metric": ("g11", "g12", "g22"),
-    "det": ("det_g", "g_bar"),
-    "curvature": ("R",),
-    "gbar": ("g_bar",),
-    "rbar": ("R_bar",),
-    "averages": ("U", "N"),
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -73,11 +64,7 @@ class GridSpec:
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise DomainError(f"expected min:max:count[:log], got {text!r}")
-        spacing = "linear"
-        if len(parts) == 4:
-            if parts[3] not in ("log", "linear"):
-                raise DomainError(f"unknown spacing {parts[3]!r}")
-            spacing = parts[3]
+        spacing = parts[3] if len(parts) == 4 else "linear"  # checked by __post_init__
         try:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
@@ -133,8 +120,7 @@ def _point_record(model: GasModel, p: ThermoPoint, outputs: frozenset[str]) -> d
                 row["g22"] = _fmt(sample.metric.g22)
             if "det" in outputs:
                 row["det_g"] = _fmt(sample.det_g)
-                row["g_bar"] = _fmt(sample.g_bar)
-            if "gbar" in outputs:
+            if "det" in outputs or "gbar" in outputs:
                 row["g_bar"] = _fmt(sample.g_bar)
             if "curvature" in outputs:
                 row["R"] = _fmt(sample.R)
@@ -203,12 +189,8 @@ FIGURE_PRESETS: dict[int, list[SweepSpec]] = {
 # subcommands
 # --------------------------------------------------------------------------
 
-def _model_from_args(args) -> GasModel:
-    return GasModel(args.stat, eta=args.eta, kappa=args.kappa)
-
-
 def cmd_eval(args) -> int:
-    model = _model_from_args(args)
+    model = GasModel(args.stat, eta=args.eta, kappa=args.kappa)
     outputs = frozenset(args.outputs or OUTPUT_CHOICES)
     if outputs - set(OUTPUT_CHOICES):
         raise DomainError(f"unknown outputs; choose from {OUTPUT_CHOICES}")
@@ -222,6 +204,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _grid_from(flag: str | None, cfg: dict, key: str) -> GridSpec:
+    # the command-line flag wins over the config file entry
+    if flag is not None:
+        return GridSpec.parse(flag)
+    if key in cfg:
+        return GridSpec.from_config(cfg[key])
+    raise DomainError(f"sweep needs --{key.replace('_', '-')} min:max:count[:log]")
+
+
 def _sweep_spec_from_args(args) -> SweepSpec:
     cfg = {}
     if args.config:
@@ -232,18 +223,8 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         raise DomainError("sweep needs --stat (or 'stat' in the config file)")
     eta = args.eta if args.eta is not None else float(cfg.get("eta", 0.5))
     kappa = args.kappa if args.kappa is not None else float(cfg.get("kappa", 1.0))
-    if args.beta_grid is not None:
-        beta_grid = GridSpec.parse(args.beta_grid)
-    elif "beta_grid" in cfg:
-        beta_grid = GridSpec.from_config(cfg["beta_grid"])
-    else:
-        raise DomainError("sweep needs --beta-grid min:max:count[:log]")
-    if args.xi_grid is not None:
-        xi_grid = GridSpec.parse(args.xi_grid)
-    elif "xi_grid" in cfg:
-        xi_grid = GridSpec.from_config(cfg["xi_grid"])
-    else:
-        raise DomainError("sweep needs --xi-grid min:max:count[:log]")
+    beta_grid = _grid_from(args.beta_grid, cfg, "beta_grid")
+    xi_grid = _grid_from(args.xi_grid, cfg, "xi_grid")
     if args.outputs is not None:
         outputs = frozenset(args.outputs)
     else:
@@ -265,17 +246,13 @@ def cmd_limits(args) -> int:
     coeffs = quantum_gas.limit_coefficients(args.eta)
     print(f"eta={_fmt(args.eta)}")
     print(f"kappa={_fmt(args.kappa)}")
-    print(f"f={_fmt(coeffs.f)}")
-    print(f"f_c={_fmt(coeffs.f_c)}")
-    print(f"h={_fmt(coeffs.h)}")
-    print(f"h_c={_fmt(coeffs.h_c)}")
-    fd = GasModel("fd", eta=args.eta, kappa=args.kappa)
-    be = GasModel("be", eta=args.eta, kappa=args.kappa)
+    for name in ("f", "f_c", "h", "h_c"):
+        print(f"{name}={_fmt(getattr(coeffs, name))}")
+    models = [GasModel(stat, eta=args.eta, kappa=args.kappa) for stat in ("fd", "be")]
     print("beta,R_limit_fd,R_limit_be")
     for beta in args.beta:
-        rf = quantum_gas.limit_curvature(fd, beta)
-        rb = quantum_gas.limit_curvature(be, beta)
-        print(f"{_fmt(beta)},{_fmt(rf)},{_fmt(rb)}")
+        limits = [quantum_gas.limit_curvature(m, beta) for m in models]
+        print(",".join(_fmt(v) for v in (beta, *limits)))
     return 0
 
 

@@ -154,6 +154,25 @@ def _field_eval(F: FreeEnergyField, at: LagrangeCoords) -> float:
     return F(at)
 
 
+def _along(at: LagrangeCoords, axis: int, s: float) -> LagrangeCoords:
+    return at.shifted(s, 0.0) if axis == 0 else at.shifted(0.0, s)
+
+
+def _richardson(estimate: Callable[[float], float]) -> float:
+    # estimate(c) is an O(h^2) central difference at steps scaled by c; one
+    # halving cancels the h^2 term: (4 D(h/2) - D(h)) / 3
+    coarse = estimate(1.0)
+    return (4.0 * estimate(0.5) - coarse) / 3.0
+
+
+def _d1(f: Callable, at: LagrangeCoords, axis: int, h: float):
+    """Richardson first derivative of f (scalar or array) along one axis."""
+    def estimate(c: float):
+        ch = c * h
+        return (f(_along(at, axis, ch)) - f(_along(at, axis, -ch))) / (2.0 * ch)
+    return _richardson(estimate)
+
+
 def _warn_if_degenerate(g: MetricTensor2, context: str) -> None:
     scale = abs(g.g11 * g.g22) + g.g12 * g.g12
     if g.det <= 0.0 or g.det < _DEGENERACY_CUT * scale:
@@ -173,22 +192,22 @@ def hessian_metric(F: FreeEnergyField, at: LagrangeCoords,
     h1, h2 = _steps(at, step, HESS_STEP)
     f0 = _field_eval(F, at)
 
+    def cross(s: float, t: float) -> float:
+        return _field_eval(F, at.shifted(s, t))
+
     def d2_axis(h: float, axis: int) -> float:
-        def shift(s):
-            return _field_eval(F, at.shifted(s, 0.0) if axis == 0 else at.shifted(0.0, s))
-        a = (shift(h) - 2.0 * f0 + shift(-h)) / (h * h)
-        b = (shift(0.5 * h) - 2.0 * f0 + shift(-0.5 * h)) / (0.25 * h * h)
-        return (4.0 * b - a) / 3.0
+        def estimate(c: float) -> float:
+            ch = c * h
+            return ((_field_eval(F, _along(at, axis, ch)) - 2.0 * f0
+                     + _field_eval(F, _along(at, axis, -ch))) / (ch * ch))
+        return _richardson(estimate)
 
-    def d2_mixed(h: float, k: float) -> float:
-        def cross(s, t):
-            return _field_eval(F, at.shifted(s, t))
-        a = (cross(h, k) - cross(h, -k) - cross(-h, k) + cross(-h, -k)) / (4.0 * h * k)
-        b = (cross(0.5 * h, 0.5 * k) - cross(0.5 * h, -0.5 * k)
-             - cross(-0.5 * h, 0.5 * k) + cross(-0.5 * h, -0.5 * k)) / (h * k)
-        return (4.0 * b - a) / 3.0
+    def mixed(c: float) -> float:
+        ch, ck = c * h1, c * h2
+        return ((cross(ch, ck) - cross(ch, -ck) - cross(-ch, ck) + cross(-ch, -ck))
+                / (4.0 * ch * ck))
 
-    g = MetricTensor2(-d2_axis(h1, 0), -d2_mixed(h1, h2), -d2_axis(h2, 1))
+    g = MetricTensor2(-d2_axis(h1, 0), -_richardson(mixed), -d2_axis(h2, 1))
     _warn_if_degenerate(g, "hessian_metric")
     return g
 
@@ -205,12 +224,7 @@ def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
     h1, h2 = _steps(at, step, GRAD_STEP)
 
     def d1(component: int, axis: int, h: float) -> float:
-        def shift(s):
-            c = at.shifted(s, 0.0) if axis == 0 else at.shifted(0.0, s)
-            return averages(c)[component]
-        a = (shift(h) - shift(-h)) / (2.0 * h)
-        b = (shift(0.5 * h) - shift(-0.5 * h)) / h
-        return (4.0 * b - a) / 3.0
+        return _d1(lambda c: averages(c)[component], at, axis, h)
 
     g11 = -d1(0, 0, h1)
     g12 = -0.5 * (d1(1, 0, h1) + d1(0, 1, h2))
@@ -225,15 +239,10 @@ def _metric_rows(gfield: MetricField, at: LagrangeCoords,
     h1, h2 = _steps(at, step, GRAD_STEP)
     g0 = gfield(at)
 
-    def row(axis: int, h: float) -> np.ndarray:
-        def shift(s):
-            c = at.shifted(s, 0.0) if axis == 0 else at.shifted(0.0, s)
-            return gfield(c).entries()
-        a = (shift(h) - shift(-h)) / (2.0 * h)
-        b = (shift(0.5 * h) - shift(-0.5 * h)) / h
-        return (4.0 * b - a) / 3.0
+    def entries(c: LagrangeCoords) -> np.ndarray:
+        return gfield(c).entries()
 
-    return g0, row(0, h1), row(1, h2)
+    return g0, _d1(entries, at, 0, h1), _d1(entries, at, 1, h2)
 
 
 def _require_regular(g: MetricTensor2, context: str) -> float:
@@ -285,15 +294,10 @@ def legendre_entropy(F: FreeEnergyField, at: LagrangeCoords,
     h1, h2 = _steps(at, step, GRAD_STEP)
     f0 = _field_eval(F, at)
 
-    def d1(axis: int, h: float) -> float:
-        def shift(s):
-            c = at.shifted(s, 0.0) if axis == 0 else at.shifted(0.0, s)
-            return _field_eval(F, c)
-        a = (shift(h) - shift(-h)) / (2.0 * h)
-        b = (shift(0.5 * h) - shift(-0.5 * h)) / h
-        return (4.0 * b - a) / 3.0
+    def field(c: LagrangeCoords) -> float:
+        return _field_eval(F, c)
 
-    return at.lambda1 * d1(0, h1) + at.lambda2 * d1(1, h2) - f0
+    return at.lambda1 * _d1(field, at, 0, h1) + at.lambda2 * _d1(field, at, 1, h2) - f0
 
 
 # --------------------------------------------------------------------------
@@ -348,21 +352,19 @@ def _sufficient_statistics(spec: FockEnsembleSpec) -> tuple[np.ndarray, np.ndarr
 
 
 def _level_weights(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
-    # q_i = xi * exp(-beta * eps_i), the per-level Boltzmann ratio
+    # q_i = xi * exp(-beta * eps_i), the per-level Boltzmann ratio; Bose
+    # levels must have q_i < 1 or the occupancy cap would matter
     eps = np.asarray(spec.energies)
-    return np.exp(-at.lambda1 * eps - at.lambda2)
-
-
-def _check_be_convergence(spec: FockEnsembleSpec, q: np.ndarray) -> None:
+    q = np.exp(-at.lambda1 * eps - at.lambda2)
     if spec.statistics == "be" and np.any(q >= 1.0):
         raise DomainError(
             "Bose enumeration needs xi * exp(-beta*eps) < 1 on every level "
             f"for cap-independence; got max ratio {float(np.max(q)):.6g}")
+    return q
 
 
 def _product_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     q = _level_weights(spec, at)
-    _check_be_convergence(spec, q)
     if len(spec.energies) == 0:
         return 0.0
     if spec.statistics == "fd":
@@ -377,7 +379,6 @@ def fock_be_tail_bound(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     if spec.statistics != "be" or len(spec.energies) == 0:
         return 0.0
     q = _level_weights(spec, at)
-    _check_be_convergence(spec, q)
     cap = spec.be_occupancy_cap
     return float(np.sum(q ** (cap + 1) / (1.0 - q)))
 
@@ -407,8 +408,7 @@ def fock_moments(spec: FockEnsembleSpec,
     The covariance equals the Fisher-Rao metric of the ensemble, i.e.
     the negative Hessian of F = -log Z (identity checked by the tests).
     """
-    q = _level_weights(spec, at)
-    _check_be_convergence(spec, q)
+    _level_weights(spec, at)  # rejects Bose levels with q_i >= 1
     a1, a2 = _sufficient_statistics(spec)
     logits = -at.lambda1 * a1 - at.lambda2 * a2
     rho = np.exp(logits - logsumexp(logits))

@@ -10,6 +10,16 @@ Gamma functions and polylogarithms:
     particles     N   = -+ kappa Gamma(eta+1) beta^-(eta+1) Li(-+xi, eta+1)
 
 with the upper sign for Fermi-Dirac and the lower for Bose-Einstein.
+All of them, and the metric entries, are rungs of one ladder
+
+    T(k, j) = kappa Gamma(eta+k) beta^-(eta+k) L(eta+j),
+
+with L = -Li(-xi, .) for Fermi-Dirac, Li(xi, .) for Bose-Einstein and
+xi for the classical gas, so that L > 0 for every statistics:
+
+    F = -T(1, 2)    U = T(2, 2)    N = T(1, 1)
+    g = (g11, g12, g22) = (T(3, 2), T(2, 1), T(1, 0))
+
 The Bose branch optionally carries the ground-state correction
 N0 = xi/(1-xi), which enters the particle number and (through
 g22 += xi/(1-xi)^2) the metric; it removes the curvature singularity at
@@ -182,16 +192,23 @@ def _ground_terms(xi: float) -> tuple[float, float]:
 # thermodynamic closed forms
 # --------------------------------------------------------------------------
 
+def _term(model: GasModel, p: ThermoPoint, k: float, j: float) -> float:
+    # ladder rung T(k, j) = (kappa Gamma(eta+k) / beta^(eta+k)) * L(eta+j);
+    # negation is exact, so carrying the sign on L changes no bit of the
+    # product, and each quantity fetches only the polylog orders it needs
+    eta = model.eta
+    pref = model.kappa * gamma_real(eta + k) / p.beta ** (eta + k)
+    if model.statistics == FERMI_DIRAC:
+        return pref * -polylog(-p.xi, eta + j)
+    if model.statistics == CLASSICAL_IDEAL:
+        return pref * p.xi  # classical: leading polylog term exactly
+    return pref * polylog(p.xi, eta + j)
+
+
 def free_energy(model: GasModel, p: ThermoPoint) -> float:
     """Grand canonical free energy F = -log Z per the closed forms above."""
     _require_point(model, p)
-    eta, kappa = model.eta, model.kappa
-    pref = kappa * gamma_real(eta + 1.0) / p.beta ** (eta + 1.0)
-    if model.statistics == FERMI_DIRAC:
-        return pref * polylog(-p.xi, eta + 2.0)
-    if model.statistics in _BOSONIC:
-        return -pref * polylog(p.xi, eta + 2.0)
-    return -pref * p.xi  # classical: leading polylog term exactly
+    return -_term(model, p, 1.0, 2.0)
 
 
 def averages(model: GasModel, p: ThermoPoint) -> tuple[float, float]:
@@ -202,20 +219,10 @@ def averages(model: GasModel, p: ThermoPoint) -> tuple[float, float]:
     carries zero energy.
     """
     _require_point(model, p)
-    eta, kappa = model.eta, model.kappa
-    cu = kappa * gamma_real(eta + 2.0) / p.beta ** (eta + 2.0)
-    cn = kappa * gamma_real(eta + 1.0) / p.beta ** (eta + 1.0)
-    if model.statistics == FERMI_DIRAC:
-        u = -cu * polylog(-p.xi, eta + 2.0)
-        n = -cn * polylog(-p.xi, eta + 1.0)
-    elif model.statistics in _BOSONIC:
-        u = cu * polylog(p.xi, eta + 2.0)
-        n = cn * polylog(p.xi, eta + 1.0)
-        if model.statistics == BOSE_EINSTEIN:
-            n += ground_state_occupation(p)
-    else:
-        u = cu * p.xi
-        n = cn * p.xi
+    u = _term(model, p, 2.0, 2.0)
+    n = _term(model, p, 1.0, 1.0)
+    if model.statistics == BOSE_EINSTEIN:
+        n += ground_state_occupation(p)
     return u, n
 
 
@@ -243,62 +250,43 @@ def ground_state_free_energy(p: ThermoPoint) -> float:
 # metrics
 # --------------------------------------------------------------------------
 
+def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
+    """Closed-form metric (T(3,2), T(2,1), T(1,0)) of any statistics.
+
+    All entries are positive; with the ground state only g22 changes, by
+    xi/(1-xi)^2.
+    """
+    _require_point(model, p)
+    g22 = _term(model, p, 1.0, 0.0)
+    if model.statistics == BOSE_EINSTEIN:
+        g22 += _ground_terms(p.xi)[0]
+    return MetricTensor2(_term(model, p, 3.0, 2.0), _term(model, p, 2.0, 1.0), g22)
+
+
 def metric_fd(model: GasModel, p: ThermoPoint) -> MetricTensor2:
     """Fermi-Dirac metric; all entries positive since Li(-xi, .) < 0."""
     if model.statistics != FERMI_DIRAC:
         raise DomainError("metric_fd needs Fermi-Dirac statistics")
-    eta, kappa, b = model.eta, model.kappa, p.beta
-    return MetricTensor2(
-        -kappa * gamma_real(eta + 3.0) / b ** (eta + 3.0) * polylog(-p.xi, eta + 2.0),
-        -kappa * gamma_real(eta + 2.0) / b ** (eta + 2.0) * polylog(-p.xi, eta + 1.0),
-        -kappa * gamma_real(eta + 1.0) / b ** (eta + 1.0) * polylog(-p.xi, eta),
-    )
+    return metric(model, p)
 
 
 def metric_be(model: GasModel, p: ThermoPoint) -> MetricTensor2:
     """Bose-Einstein metric; only g22 feels the ground state."""
     if model.statistics not in _BOSONIC:
         raise DomainError("metric_be needs Bose-Einstein statistics")
-    _require_point(model, p)
-    eta, kappa, b = model.eta, model.kappa, p.beta
-    g22 = kappa * gamma_real(eta + 1.0) / b ** (eta + 1.0) * polylog(p.xi, eta)
-    if model.statistics == BOSE_EINSTEIN:
-        g22 += _ground_terms(p.xi)[0]
-    return MetricTensor2(
-        kappa * gamma_real(eta + 3.0) / b ** (eta + 3.0) * polylog(p.xi, eta + 2.0),
-        kappa * gamma_real(eta + 2.0) / b ** (eta + 2.0) * polylog(p.xi, eta + 1.0),
-        g22,
-    )
+    return metric(model, p)
 
 
 def metric_classical(model: GasModel, p: ThermoPoint) -> MetricTensor2:
     """Classical ideal gas metric, the xi -> 0 envelope of both branches."""
     if model.statistics != CLASSICAL_IDEAL:
         raise DomainError("metric_classical needs classical statistics")
-    eta, kappa, b = model.eta, model.kappa, p.beta
-    return MetricTensor2(
-        kappa * gamma_real(eta + 3.0) / b ** (eta + 3.0) * p.xi,
-        kappa * gamma_real(eta + 2.0) / b ** (eta + 2.0) * p.xi,
-        kappa * gamma_real(eta + 1.0) / b ** (eta + 1.0) * p.xi,
-    )
-
-
-def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
-    """Statistics dispatcher for the closed-form metric."""
-    if model.statistics == FERMI_DIRAC:
-        return metric_fd(model, p)
-    if model.statistics in _BOSONIC:
-        return metric_be(model, p)
-    return metric_classical(model, p)
+    return metric(model, p)
 
 
 # --------------------------------------------------------------------------
 # determinant bundles and curvature
 # --------------------------------------------------------------------------
-
-def _det2(m: list[list[float]]) -> float:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
 
 def _det3(m: list[list[float]]) -> float:
     # cofactor expansion along the largest-magnitude column
@@ -336,8 +324,7 @@ def det_bundle(x: float, eta: float) -> DeterminantBundle:
     l_1 = polylog(x, eta + 1.0)
     l_2 = polylog(x, eta + 2.0)
 
-    a = _det2([[g3 * l_2, g2 * l_1],
-               [g2 * l_1, g1 * l_0]])
+    a = (g3 * l_2) * (g1 * l_0) - (g2 * l_1) * (g2 * l_1)
     b = _det3([[g3 * l_2, g2 * l_1, g1 * l_0],
                [g4 * l_2, g3 * l_1, g2 * l_0],
                [g3 * l_1, g2 * l_0, g1 * l_m1]])
@@ -368,20 +355,14 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
     if model.statistics == CLASSICAL_IDEAL:
         g_bar = p.xi * p.xi * limit_coefficients(eta).f
         return GeometrySample(p, g, unit * g_bar, g_bar, 0.0, 0.0)
-    if model.statistics == FERMI_DIRAC:
-        bundle = det_bundle(-p.xi, eta)
-        g_bar = bundle.A
-        r_bar = bundle.B / (bundle.A * bundle.A)
-        r = 0.5 * t * r_bar
-    else:
-        bundle = det_bundle(p.xi, eta)
-        if model.statistics == BOSE_EINSTEIN:
-            g_bar = bundle.A + t * bundle.A_c
-            r_bar = (bundle.B + t * bundle.B_c) / (g_bar * g_bar)
-        else:
-            g_bar = bundle.A
-            r_bar = bundle.B / (bundle.A * bundle.A)
-        r = -0.5 * t * r_bar
+    fermi = model.statistics == FERMI_DIRAC
+    bundle = det_bundle(-p.xi if fermi else p.xi, eta)
+    g_bar, b = bundle.A, bundle.B
+    if model.statistics == BOSE_EINSTEIN:
+        g_bar = bundle.A + t * bundle.A_c
+        b = bundle.B + t * bundle.B_c
+    r_bar = b / (g_bar * g_bar)
+    r = (0.5 if fermi else -0.5) * t * r_bar
     if g_bar <= 0.0 or g_bar < 1e-12 * (abs(g.g11 * g.g22) + g.g12 * g.g12) / unit:
         warnings.warn(
             f"geometry_sample: determinant factor {g_bar:.3e} is degenerate, "

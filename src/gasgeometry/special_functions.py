@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,7 +34,6 @@ from scipy.special import gamma as _scipy_gamma, polygamma as _scipy_polygamma
 from .errors import DomainError, PolylogOverflowError
 
 __all__ = [
-    "PolylogQuery",
     "gamma_real",
     "zeta_real",
     "polylog",
@@ -144,24 +142,6 @@ def _validate(y: float, phi: float) -> tuple[float, float]:
     if phi < -1.0:
         raise DomainError(f"polylog requires phi >= -1, got phi={phi!r}")
     return y, phi
-
-
-@dataclass(frozen=True)
-class PolylogQuery:
-    """Validated argument pair of the polylogarithm.
-
-    ``y`` is the fugacity-like argument (y < 1; arbitrarily negative on
-    the Fermi-Dirac branch, inside (0, 1) on the Bose-Einstein branch)
-    and ``phi`` the real order (phi >= -1).
-    """
-
-    y: float
-    phi: float
-
-    def __post_init__(self):
-        y, phi = _validate(self.y, self.phi)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "phi", phi)
 
 
 def polylog_series(y: float, phi: float, tol: float = 1e-16, max_terms: int = 5000) -> float:

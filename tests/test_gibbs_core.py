@@ -94,6 +94,72 @@ def test_jacobian_metric_matches_hessian_for_gradient_pair():
         assert a == pytest.approx(b, rel=1e-6)
 
 
+# Richardson-order fixtures.  One halving cancels the h^2 error of a central
+# difference, leaving h^4 terms that need fifth (first differences) or sixth
+# (second differences) derivatives; these vanish for the polynomials below,
+# so at the coarse step 0.1 the stencils are exact up to rounding, while a
+# plain central difference misses by ~1e-3 or more.  The default steps
+# (h^2 ~ 1e-8) are too fine for the other tests to tell the two apart.
+ORDER_STEP = 0.1
+
+
+def quartic(x, y):
+    return x**4 + x * x * y * y + y**4 + x * y**3
+
+
+def quartic_gradient(x, y):
+    return 4 * x**3 + 2 * x * y * y + y**3, 2 * x * x * y + 4 * y**3 + 3 * x * y * y
+
+
+def quartic_hessian(x, y):
+    return 12 * x * x + 2 * y * y, 4 * x * y + 3 * y * y, 2 * x * x + 12 * y * y + 6 * x * y
+
+
+def test_stencils_are_exact_on_a_quartic_field():
+    x, y = 1.0, 0.5
+    at = LagrangeCoords(x, y)
+    # F = -Q, so g = Hess Q is positive definite and A = dF/dlambda = -grad Q
+    field = FreeEnergyField(lambda c: -quartic(c.lambda1, c.lambda2))
+    grad = quartic_gradient(x, y)
+    hess = quartic_hessian(x, y)
+
+    g = gc.hessian_metric(field, at, step=ORDER_STEP)
+    assert g.entries() == pytest.approx(hess, rel=1e-10, abs=1e-10)
+
+    def avg(c):
+        gx, gy = quartic_gradient(c.lambda1, c.lambda2)
+        return -gx, -gy
+
+    gj = gc.jacobian_metric(avg, at, step=ORDER_STEP)
+    assert gj.entries() == pytest.approx(hess, rel=1e-10, abs=1e-10)
+
+    s = gc.legendre_entropy(field, at, step=ORDER_STEP)
+    assert s == pytest.approx(-x * grad[0] - y * grad[1] + quartic(x, y), rel=1e-10, abs=1e-10)
+
+
+def test_curvature_stencils_are_exact_on_a_polynomial_metric():
+    # Hessian metric of P = x^6/10 + x^3 y^3/5 + y^6/10 + x^2 + y^2: the
+    # entries are quartic, their derivatives (third derivatives of P) cubic
+    def metric(x, y):
+        return (3 * x**4 + 1.2 * x * y**3 + 2, 1.8 * x * x * y * y,
+                1.2 * x**3 * y + 3 * y**4 + 2)
+
+    def gfield(c):
+        return MetricTensor2(*metric(c.lambda1, c.lambda2))
+
+    x, y = 1.2, 0.7
+    d1g = (12 * x**3 + 1.2 * y**3, 3.6 * x * y * y, 3.6 * x * x * y)
+    d2g = (3.6 * x * y * y, 3.6 * x * x * y, 1.2 * x**3 + 12 * y**3)
+    g11, g12, g22 = metric(x, y)
+    detg = g11 * g22 - g12 * g12
+    expected = -np.linalg.det(np.array([metric(x, y), d1g, d2g])) / (2 * detg * detg)
+    at = LagrangeCoords(x, y)
+    assert gc.scalar_curvature_det(gfield, at, step=ORDER_STEP) == pytest.approx(
+        expected, rel=1e-10)
+    assert gc.scalar_curvature_riemann(gfield, at, step=ORDER_STEP) == pytest.approx(
+        expected, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # scalar curvature
 # ---------------------------------------------------------------------------

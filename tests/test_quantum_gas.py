@@ -13,7 +13,8 @@ from scipy.integrate import quad
 
 import gasgeometry.gibbs_core as gc
 import gasgeometry.quantum_gas as qg
-from gasgeometry.errors import DomainError
+from gasgeometry.errors import ConditioningWarning, DomainError
+from gasgeometry.special_functions import gamma_real, polylog
 
 GAMMA_32 = 0.8862269254527580137
 
@@ -376,6 +377,107 @@ def test_rbar_scaling_laws():
         vals.append(s.R_bar)
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
     assert vals[1] == pytest.approx(vals[2], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one ladder, bit for bit the per-statistics formulas
+# ---------------------------------------------------------------------------
+# The closed forms evaluate every quantity through one ladder term.  The
+# functions below are the per-statistics formulas written out by hand, with
+# their own operation order; the ladder must reproduce them exactly (==),
+# including kappa != 1 and eta < 0, which no figure preset reaches.
+
+def _handwritten_free_energy(model, p):
+    eta, kappa = model.eta, model.kappa
+    pref = kappa * gamma_real(eta + 1.0) / p.beta ** (eta + 1.0)
+    if model.statistics == "fd":
+        return pref * polylog(-p.xi, eta + 2.0)
+    if model.statistics in ("be", "be0"):
+        return -pref * polylog(p.xi, eta + 2.0)
+    return -pref * p.xi
+
+
+def _handwritten_averages(model, p):
+    eta, kappa = model.eta, model.kappa
+    cu = kappa * gamma_real(eta + 2.0) / p.beta ** (eta + 2.0)
+    cn = kappa * gamma_real(eta + 1.0) / p.beta ** (eta + 1.0)
+    if model.statistics == "fd":
+        return -cu * polylog(-p.xi, eta + 2.0), -cn * polylog(-p.xi, eta + 1.0)
+    if model.statistics in ("be", "be0"):
+        n = cn * polylog(p.xi, eta + 1.0)
+        if model.statistics == "be":
+            n += p.xi / (1.0 - p.xi)
+        return cu * polylog(p.xi, eta + 2.0), n
+    return cu * p.xi, cn * p.xi
+
+
+def _handwritten_metric(model, p):
+    eta, kappa, b = model.eta, model.kappa, p.beta
+    if model.statistics == "fd":
+        return (-kappa * gamma_real(eta + 3.0) / b ** (eta + 3.0) * polylog(-p.xi, eta + 2.0),
+                -kappa * gamma_real(eta + 2.0) / b ** (eta + 2.0) * polylog(-p.xi, eta + 1.0),
+                -kappa * gamma_real(eta + 1.0) / b ** (eta + 1.0) * polylog(-p.xi, eta))
+    if model.statistics in ("be", "be0"):
+        g22 = kappa * gamma_real(eta + 1.0) / b ** (eta + 1.0) * polylog(p.xi, eta)
+        if model.statistics == "be":
+            w = 1.0 - p.xi
+            g22 += p.xi / (w * w)
+        return (kappa * gamma_real(eta + 3.0) / b ** (eta + 3.0) * polylog(p.xi, eta + 2.0),
+                kappa * gamma_real(eta + 2.0) / b ** (eta + 2.0) * polylog(p.xi, eta + 1.0),
+                g22)
+    return (kappa * gamma_real(eta + 3.0) / b ** (eta + 3.0) * p.xi,
+            kappa * gamma_real(eta + 2.0) / b ** (eta + 2.0) * p.xi,
+            kappa * gamma_real(eta + 1.0) / b ** (eta + 1.0) * p.xi)
+
+
+def _handwritten_geometry(model, p):
+    # (g_bar, R, R_bar) from the determinant bundles, branch by branch
+    eta, kappa = model.eta, model.kappa
+    t = p.beta ** (eta + 1.0) / kappa
+    if model.statistics == "classical":
+        return p.xi * p.xi * qg.limit_coefficients(eta).f, 0.0, 0.0
+    if model.statistics == "fd":
+        bundle = qg.det_bundle(-p.xi, eta)
+        r_bar = bundle.B / (bundle.A * bundle.A)
+        return bundle.A, 0.5 * t * r_bar, r_bar
+    bundle = qg.det_bundle(p.xi, eta)
+    if model.statistics == "be":
+        g_bar = bundle.A + t * bundle.A_c
+        r_bar = (bundle.B + t * bundle.B_c) / (g_bar * g_bar)
+    else:
+        g_bar = bundle.A
+        r_bar = bundle.B / (bundle.A * bundle.A)
+    return g_bar, -0.5 * t * r_bar, r_bar
+
+
+_LADDER_XI = {
+    "fd": (0.01, 0.4, 0.9, 3.0, 50.0),
+    "be": (0.01, 0.4, 0.9, 0.999),
+    "be0": (0.01, 0.4, 0.9, 0.999),
+    "classical": (0.01, 0.4, 3.0, 50.0),
+}
+_SPECIFIC_METRIC = {"fd": qg.metric_fd, "be": qg.metric_be, "be0": qg.metric_be,
+                    "classical": qg.metric_classical}
+
+
+@pytest.mark.filterwarnings("ignore", category=ConditioningWarning)
+@pytest.mark.parametrize("stat", sorted(_LADDER_XI))
+def test_ladder_reproduces_handwritten_formulas_bit_for_bit(stat):
+    for eta in (-0.5, 0.5, 2.0):
+        for kappa in (1.0, 2.5):
+            model = qg.GasModel(stat, eta=eta, kappa=kappa)
+            for beta in (0.3, 1.0, 4.0):
+                for xi in _LADDER_XI[stat]:
+                    p = qg.ThermoPoint(beta, xi)
+                    where = (stat, eta, kappa, beta, xi)
+                    assert qg.free_energy(model, p) == _handwritten_free_energy(model, p), where
+                    assert qg.averages(model, p) == _handwritten_averages(model, p), where
+                    g = tuple(_handwritten_metric(model, p))
+                    assert tuple(qg.metric(model, p).entries()) == g, where
+                    assert tuple(_SPECIFIC_METRIC[stat](model, p).entries()) == g, where
+                    s = qg.geometry_sample(model, p)
+                    assert tuple(s.metric.entries()) == g, where
+                    assert (s.g_bar, s.R, s.R_bar) == _handwritten_geometry(model, p), where
 
 
 # ---------------------------------------------------------------------------

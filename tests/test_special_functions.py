@@ -194,15 +194,6 @@ def test_polylog_domain_errors(y, phi):
         sf.polylog(y, phi)
 
 
-def test_polylog_query_validation():
-    q = sf.PolylogQuery(-2.0, 1.5)
-    assert (q.y, q.phi) == (-2.0, 1.5)
-    with pytest.raises(DomainError):
-        sf.PolylogQuery(1.2, 1.5)
-    with pytest.raises(DomainError):
-        sf.PolylogQuery(0.5, -1.01)
-
-
 def test_polylog_overflow_signalled(monkeypatch):
     # No float64 input inside the admitted domain can actually overflow, so
     # exercise the guard by forcing a branch to report divergence.
