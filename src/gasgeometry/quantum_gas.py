@@ -32,8 +32,10 @@ determinant bundles A, B (and their ground-state companions A_c, B_c):
     R     = +- (beta^(eta+1) / 2 kappa) * R_bar
 
 with the sign positive for fermions (R < 0 follows from B < 0) and
-negative for bosons.  The classical ideal gas is the xi -> 0 envelope of
-both branches and is exactly flat.
+negative for bosons.  The Gamma recurrence Gamma(eta+k+1) =
+(eta+k) Gamma(eta+k) reduces every bundle to Gamma(eta+1) times a
+polynomial in the polylogarithms (see det_bundle).  The classical ideal
+gas is the xi -> 0 envelope of both branches and is exactly flat.
 """
 from __future__ import annotations
 
@@ -288,35 +290,35 @@ def metric_classical(model: GasModel, p: ThermoPoint) -> MetricTensor2:
 # determinant bundles and curvature
 # --------------------------------------------------------------------------
 
-def _det3(m: list[list[float]]) -> float:
-    # cofactor expansion along the largest-magnitude column
-    col = max(range(3), key=lambda j: sum(abs(m[i][j]) for i in range(3)))
-    total = 0.0
-    for i in range(3):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != col]
-        minor = (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                 - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
-        sign = -1.0 if (i + col) % 2 else 1.0
-        total += sign * m[i][col] * minor
-    return total
-
-
 def det_bundle(x: float, eta: float) -> DeterminantBundle:
     """Evaluate the determinant factors A, B (and A_c, B_c for 0 < x < 1).
 
-    The entries are Gamma(eta+k) Li(x, eta+j) products at orders
-    eta-1 .. eta+2; the ground-state columns use xi/(1-xi)^2 and
-    xi(1+xi)/(1-xi)^3 in cancellation-free form.
+    With g_k = Gamma(eta+k), L_j = Li(x, eta+j) and the ground-state terms
+    s1 = x/(1-x)^2, s2 = x(1+x)/(1-x)^3, the bundles are defined as
+
+        A   = g3 L2 g1 L0 - (g2 L1)^2
+        B   = det [[g3 L2, g2 L1, g1 L0],     B_c = det [[g3 L2, g2 L1, s1],
+                   [g4 L2, g3 L1, g2 L0],                [g4 L2, g3 L1, 0 ],
+                   [g3 L1, g2 L0, g1 L-1]]               [g3 L1, g2 L0, s2]]
+        A_c = g3 L2 s1
+
+    The recurrence g_(k+1) = (eta+k) g_k factors the Gammas out: row 2
+    minus (eta+1) times row 1 of B is [2 g3 L2, g2 L1, 0], and
+    g3^2 - g2 g4 = -(eta+2) g2^2, so that
+
+        A   = g1 g2 ((eta+2) L0 L2 - (eta+1) L1^2)
+        B   = g1 g2 g3 (L0 (2 L0 L2 - L1^2) - L-1 L1 L2)
+        B_c = (eta+2) g2^2 (s1 ((eta+3) L0 L2 - (eta+2) L1^2) - s2 L1 L2)
+
+    and one Gamma evaluation serves all four.
     """
     if not math.isfinite(x) or x >= 1.0:
         raise DomainError(f"det_bundle requires x < 1, got {x}")
     if eta <= -1.0:
         raise DomainError(f"det_bundle requires eta > -1, got {eta}")
     g1 = gamma_real(eta + 1.0)
-    g2 = gamma_real(eta + 2.0)
-    g3 = gamma_real(eta + 3.0)
-    g4 = gamma_real(eta + 4.0)
+    g2 = (eta + 1.0) * g1
+    g3 = (eta + 2.0) * g2
     # order eta - 1 drops below the direct polylog domain when eta < 0
     # (e.g. the one-dimensional box); step down from order eta instead
     l_m1 = polylog(x, eta - 1.0) if eta >= 0.0 else polylog_step_down(x, eta)
@@ -324,17 +326,13 @@ def det_bundle(x: float, eta: float) -> DeterminantBundle:
     l_1 = polylog(x, eta + 1.0)
     l_2 = polylog(x, eta + 2.0)
 
-    a = (g3 * l_2) * (g1 * l_0) - (g2 * l_1) * (g2 * l_1)
-    b = _det3([[g3 * l_2, g2 * l_1, g1 * l_0],
-               [g4 * l_2, g3 * l_1, g2 * l_0],
-               [g3 * l_1, g2 * l_0, g1 * l_m1]])
+    a = g1 * g2 * ((eta + 2.0) * l_0 * l_2 - (eta + 1.0) * l_1 * l_1)
+    b = g1 * g2 * g3 * (l_0 * (2.0 * l_0 * l_2 - l_1 * l_1) - l_m1 * l_1 * l_2)
     if 0.0 < x < 1.0:
         gs1, gs2 = _ground_terms(x)
-        a_c = g3 * l_2 * gs1
-        b_c = _det3([[g3 * l_2, g2 * l_1, gs1],
-                     [g4 * l_2, g3 * l_1, 0.0],
-                     [g3 * l_1, g2 * l_0, gs2]])
-        return DeterminantBundle(a, b, a_c, b_c)
+        b_c = (eta + 2.0) * g2 * g2 * (
+            gs1 * ((eta + 3.0) * l_0 * l_2 - (eta + 2.0) * l_1 * l_1) - gs2 * l_1 * l_2)
+        return DeterminantBundle(a, b, g3 * l_2 * gs1, b_c)
     return DeterminantBundle(a, b, None, None)
 
 
@@ -373,28 +371,31 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
 def limit_coefficients(eta: float) -> LimitCoefficients:
     """Leading small-x coefficients of the bundles.
 
-    A -> f x^2, A_c -> f_c x^2, B -> h x^4, B_c -> h_c x^4 as x -> 0, with
+    A -> f x^2, A_c -> f_c x^2, B -> h x^4, B_c -> h_c x^4 as x -> 0.  By
+    definition (the x^2 and x^4 terms of the determinants of det_bundle)
 
         f   = Gamma(eta+3) Gamma(eta+1) - Gamma(eta+2)^2
-            = Gamma(eta+1) Gamma(eta+2)          (Gamma recurrence)
         f_c = Gamma(eta+3)
         h   = 2^-(eta+1) [ -Gamma(eta+1) Gamma(eta+2) Gamma(eta+4)
                            + (3/2) Gamma(eta+1) Gamma(eta+3)^2
                            - (1/2) Gamma(eta+2)^2 Gamma(eta+3) ]
         h_c = 2^-(eta+1) [ Gamma(eta+2) Gamma(eta+4) - Gamma(eta+3)^2 / 2 ]
               + 2 [ Gamma(eta+3)^2 - Gamma(eta+2) Gamma(eta+4) ]
+
+    The Gamma recurrence collapses each cancelling sum to one product,
+    with g_k = Gamma(eta+k):
+
+        f = g1 g2,  f_c = g3,  h = -g1 g2 g3 / 2^(eta+2),
+        h_c = (eta+2) g2^2 ((eta+4) / 2^(eta+2) - 2)
     """
     if eta <= -1.0:
         raise DomainError(f"limit coefficients need eta > -1, got {eta}")
     g1 = gamma_real(eta + 1.0)
-    g2 = gamma_real(eta + 2.0)
-    g3 = gamma_real(eta + 3.0)
-    g4 = gamma_real(eta + 4.0)
-    half_pow = 2.0 ** (-(eta + 1.0))
-    f = g3 * g1 - g2 * g2
-    h = half_pow * (-g1 * g2 * g4 + 1.5 * g1 * g3 * g3 - 0.5 * g2 * g2 * g3)
-    h_c = half_pow * (g2 * g4 - 0.5 * g3 * g3) + 2.0 * (g3 * g3 - g2 * g4)
-    return LimitCoefficients(f, g3, h, h_c)
+    g2 = (eta + 1.0) * g1
+    g3 = (eta + 2.0) * g2
+    inv_pow2 = 2.0 ** (-(eta + 2.0))
+    h_c = (eta + 2.0) * g2 * g2 * ((eta + 4.0) * inv_pow2 - 2.0)
+    return LimitCoefficients(g1 * g2, g3, -g1 * g2 * g3 * inv_pow2, h_c)
 
 
 def limit_curvature(model: GasModel, beta: float) -> float:

@@ -73,9 +73,12 @@ def test_eval_domain_violation_exits_2(capsys):
     assert "error" in err
 
 
-def test_unknown_stat_is_usage_error(capsys):
+@pytest.mark.parametrize("extra", [["--stat", "maxwell"], ["--stat", "fd", "--outputs", "bogus"]],
+                         ids=["stat-maxwell", "outputs-bogus"])
+def test_unknown_stat_is_usage_error(extra, capsys):
+    # argparse choices reject both; eval has no check of its own
     with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "--stat", "maxwell", "--beta", "1", "--xi", "0.5"])
+        cli.main(["eval", *extra, "--beta", "1", "--xi", "0.5"])
     assert exc.value.code == 2
 
 

@@ -7,6 +7,7 @@ Hessians/Jacobians from the geometry engine, and frozen mpmath values.
 import math
 from dataclasses import FrozenInstanceError
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -284,6 +285,42 @@ def test_negative_eta_one_dimensional_box():
                                     qg.ThermoPoint(1.0, 0.6).to_coords()), rel=1e-4)
 
 
+def _mp_bundle(x, eta):
+    # (A, B, A_c, B_c) from the determinant definitions in det_bundle's
+    # docstring, at 40 digits; no recurrence or row reduction involved
+    with mp.workdps(40):
+        e, y = mp.mpf(eta), mp.mpf(x)
+        g = {k: mp.gamma(e + k) for k in (1, 2, 3, 4)}
+        L = {j: mp.re(mp.polylog(e + j, y)) for j in (-1, 0, 1, 2)}
+        a = g[3] * L[2] * g[1] * L[0] - (g[2] * L[1]) ** 2
+        b = mp.det(mp.matrix([[g[3] * L[2], g[2] * L[1], g[1] * L[0]],
+                              [g[4] * L[2], g[3] * L[1], g[2] * L[0]],
+                              [g[3] * L[1], g[2] * L[0], g[1] * L[-1]]]))
+        if not 0.0 < x < 1.0:
+            return float(a), float(b), None, None
+        s1, s2 = y / (1 - y) ** 2, y * (1 + y) / (1 - y) ** 3
+        b_c = mp.det(mp.matrix([[g[3] * L[2], g[2] * L[1], s1],
+                                [g[4] * L[2], g[3] * L[1], 0],
+                                [g[3] * L[1], g[2] * L[0], s2]]))
+        return float(a), float(b), float(g[3] * L[2] * s1), float(b_c)
+
+
+# B at eta = -1/2 takes order -3/2 from polylog_step_down (~1e-7 relative)
+@pytest.mark.parametrize("eta, b_budget", [(0.5, 1e-10), (2.0, 1e-10), (10.0, 1e-10),
+                                           (-0.5, 1e-7)])
+def test_det_bundle_matches_mpmath(eta, b_budget):
+    budgets = (1e-13, b_budget, 1e-13, 1e-10)
+    for x in (-50.0, -5.0, -1.0, -0.3, 0.3, 0.9, 0.999):
+        bundle = qg.det_bundle(x, eta)
+        got = (bundle.A, bundle.B, bundle.A_c, bundle.B_c)
+        for name, ours, ref, budget in zip(("A", "B", "A_c", "B_c"), got,
+                                           _mp_bundle(x, eta), budgets):
+            if ref is None:
+                assert ours is None, (name, x)
+            else:
+                assert ours == pytest.approx(ref, rel=budget), (name, x)
+
+
 def test_det_bundle_ground_terms_only_inside_unit_interval():
     assert qg.det_bundle(-0.3, 0.5).A_c is None
     assert qg.det_bundle(-0.3, 0.5).B_c is None
@@ -500,11 +537,20 @@ def test_limit_coefficients_integer_eta_exact():
     assert c.h_c == pytest.approx(-234.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("eta", [-0.5, 0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("eta", [-0.9, -0.5, 0.5, 1.0, 2.0, 3.7, 10.0, 20.0])
 def test_f_equals_gamma_recurrence_product(eta):
+    # all four recurrence products against the determinant definitions in
+    # the limit_coefficients docstring, evaluated at 50 digits
+    with mp.workdps(50):
+        g1, g2, g3, g4 = (mp.gamma(mp.mpf(eta) + k) for k in (1, 2, 3, 4))
+        half_pow = mp.mpf(2) ** -(mp.mpf(eta) + 1)
+        ref = (g3 * g1 - g2 ** 2, g3,
+               half_pow * (-g1 * g2 * g4 + 3 * g1 * g3 ** 2 / 2 - g2 ** 2 * g3 / 2),
+               half_pow * (g2 * g4 - g3 ** 2 / 2) + 2 * (g3 ** 2 - g2 * g4))
+        ref = [float(v) for v in ref]
     c = qg.limit_coefficients(eta)
-    assert c.f == pytest.approx(qg.gamma_real(eta + 1.0) * qg.gamma_real(eta + 2.0),
-                                rel=1e-12)
+    for name, ours, want in zip(("f", "f_c", "h", "h_c"), (c.f, c.f_c, c.h, c.h_c), ref):
+        assert ours == pytest.approx(want, rel=1e-14), name
 
 
 @pytest.mark.parametrize("eta", [0.5, 2.0])

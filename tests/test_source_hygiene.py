@@ -1,0 +1,54 @@
+"""Static checks on the package source, in place of a linter.
+
+Each module of ``gasgeometry`` is parsed with ``ast``; a module-level
+import, or a module-level private name (a leading underscore), that the
+module itself never loads is dead code left behind by an edit.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import gasgeometry
+
+MODULES = sorted(Path(gasgeometry.__file__).parent.glob("*.py"))
+
+
+def _checked_bindings(tree):
+    # (name, line) of every module-level import and private definition
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    yield (alias.asname or alias.name).split(".")[0], node.lineno
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node.lineno
+
+
+def _loaded(tree):
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    # names listed in __all__ are re-exports, which count as uses
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_and_private_names_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    loaded = _loaded(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in _checked_bindings(tree)
+              if name not in loaded]
+    assert not unused, f"defined or imported but never used: {unused}"
