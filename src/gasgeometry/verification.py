@@ -5,7 +5,10 @@ code path with it (series vs quadrature, closed form vs finite
 differences, determinant vs Christoffel contraction, product form vs
 brute enumeration) and reports the worst observed deviation against the
 suite tolerance.  ``run_suites`` drives them all; the CLI ``verify``
-subcommand is a thin wrapper.
+subcommand is a thin wrapper.  Scipy's adaptive ``quad`` is deliberately
+not an oracle here: importing ``scipy.integrate`` would load
+``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` into every CLI
+process.
 
 All sampling is deterministic (fixed seeds, fixed grids).
 """

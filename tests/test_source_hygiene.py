@@ -2,9 +2,15 @@
 
 Each module of ``gasgeometry`` is parsed with ``ast``; a module-level
 import, or a module-level private name (a leading underscore), that the
-module itself never loads is dead code left behind by an edit.
+module itself never loads is dead code left behind by an edit.  The
+import test keeps the command-line entry point off ``scipy.integrate``,
+which would pull ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``
+into every process.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +58,11 @@ def test_module_level_imports_and_private_names_are_used(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _checked_bindings(tree)
               if name not in loaded]
     assert not unused, f"defined or imported but never used: {unused}"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(gasgeometry.__file__).parents[1])
+    code = "import gasgeometry.cli, sys; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

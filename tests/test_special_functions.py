@@ -2,10 +2,12 @@
 
 mpmath (arbitrary precision) is the independent reference for frozen
 values; the tanh-sinh rule below is a second quadrature scheme, applied
-to the original integral representation, fully independent of the
-integration-by-parts + QUADPACK route inside the package.
+to the original integral representation with its own map and step,
+independent of the integration-by-parts double-exponential rule inside
+the package.
 """
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasgeometry import GasModel, ThermoPoint, geometry_sample
 from gasgeometry import special_functions as sf
 from gasgeometry.errors import DomainError, PolylogOverflowError
 
@@ -143,7 +146,8 @@ def test_polylog_frozen_values(y, phi, expected):
 
 
 def test_polylog_dual_quadrature_cross_check():
-    # series-free regime; two independent integration schemes agree
+    # series-free regime; the package's integration-by-parts rule and the
+    # test-only rule on the original integrand agree
     ours = sf.polylog_quadrature(-3.0, 2.5)
     other = tanh_sinh_polylog(-3.0, 2.5)
     assert ours == pytest.approx(other, rel=1e-9)
@@ -182,6 +186,45 @@ def test_polylog_series_vs_quadrature_agreement():
             a = sf.polylog_series(y, phi)
             b = sf.polylog_quadrature(y, phi)
             assert a == pytest.approx(b, rel=1e-9)
+
+
+def _quadrature_points():
+    # seeded mid-range points plus the far Fermi tail, where the Fermi edge
+    # is narrow on the rule's logarithmic scale
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        phi = float(rng.uniform(-1.0, 22.0))
+        if rng.uniform() < 0.6:
+            y = -float(10 ** rng.uniform(math.log10(0.5), 4.0))
+        else:
+            y = float(rng.uniform(0.5, 1.0 - 1e-3))
+        yield y, phi
+    for y in (-1e6, -1e8, -1e12, -1e50, -1e300):
+        for phi in (-1.0 + 1e-9, -0.7, 0.5, 3.3, 21.0):
+            yield y, phi
+
+
+def test_polylog_quadrature_against_mpmath():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow/invalid may escape
+        for y, phi in _quadrature_points():
+            with mp.workdps(25):
+                ref = mp.re(mp.polylog(mp.mpf(phi), mp.mpf(y)))
+                rel = float(abs((sf.polylog_quadrature(y, phi) - ref) / ref))
+            assert rel < 1e-13, (y, phi, rel)
+
+
+def test_polylog_order_near_minus_one():
+    # u^phi and the map's Jacobian both reach e^(+-1e10) as phi -> -1
+    for k in (3, 6, 9, 12):
+        phi = -1.0 + 10.0 ** -k
+        for y in (-300.0, -2.0, 0.6, 0.85):
+            assert sf.polylog(y, phi) == pytest.approx(mp_polylog(y, phi), rel=1e-12), (y, k)
+    # the eta - 1 order of the closed forms reaches it at small eta
+    point = ThermoPoint(1.0, 2.0)
+    near = geometry_sample(GasModel("fd", eta=1e-6), point).R
+    at_zero = geometry_sample(GasModel("fd", eta=0.0), point).R
+    assert near == pytest.approx(at_zero, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +297,13 @@ def test_polylog_thread_safety():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda a: sf.polylog(*a), args))
     assert parallel == serial
+
+
+def test_quadrature_nodes_are_read_only():
+    # every caller shares the module-level node arrays
+    for nodes in (sf._DE_T, sf._DE_S, sf._DE_LOG_W):
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 def test_derivative_identity_on_random_points():
