@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ConditioningWarning, DomainError
+from .errors import ConditioningWarning, DomainError, SingularMetricError
 from .gibbs_core import FreeEnergyField, LagrangeCoords, MetricTensor2
 from .special_functions import gamma_real, polylog, polylog_step_down
 
@@ -197,14 +197,22 @@ def _ground_terms(xi: float) -> tuple[float, float]:
 def _term(model: GasModel, p: ThermoPoint, k: float, j: float) -> float:
     # ladder rung T(k, j) = (kappa Gamma(eta+k) / beta^(eta+k)) * L(eta+j);
     # negation is exact, so carrying the sign on L changes no bit of the
-    # product, and each quantity fetches only the polylog orders it needs
+    # product, and each quantity fetches only the polylog orders it needs;
+    # a rung outside the float range raises DomainError, not a bare error
     eta = model.eta
-    pref = model.kappa * gamma_real(eta + k) / p.beta ** (eta + k)
     if model.statistics == FERMI_DIRAC:
-        return pref * -polylog(-p.xi, eta + j)
-    if model.statistics == CLASSICAL_IDEAL:
-        return pref * p.xi  # classical: leading polylog term exactly
-    return pref * polylog(p.xi, eta + j)
+        l = -polylog(-p.xi, eta + j)
+    elif model.statistics == CLASSICAL_IDEAL:
+        l = p.xi  # classical: leading polylog term exactly
+    else:
+        l = polylog(p.xi, eta + j)
+    try:
+        out = model.kappa * gamma_real(eta + k) / p.beta ** (eta + k) * l
+    except (OverflowError, ZeroDivisionError):
+        out = math.inf
+    if out == 0.0 or math.isinf(out):
+        raise DomainError(f"a ladder term leaves the float range at beta = {p.beta!r} and xi = {p.xi!r}")
+    return out
 
 
 def free_energy(model: GasModel, p: ThermoPoint) -> float:
@@ -347,25 +355,31 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
     """
     _require_point(model, p)
     eta, kappa = model.eta, model.kappa
-    g = metric(model, p)
-    unit = (kappa / p.beta ** (eta + 2.0)) ** 2
+    g = metric(model, p)  # has checked that beta^(eta+k), k = 1..3, are finite
+    scale = kappa / p.beta ** (eta + 2.0)
     t = p.beta ** (eta + 1.0) / kappa
     if model.statistics == CLASSICAL_IDEAL:
         g_bar = p.xi * p.xi * limit_coefficients(eta).f
-        return GeometrySample(p, g, unit * g_bar, g_bar, 0.0, 0.0)
-    fermi = model.statistics == FERMI_DIRAC
-    bundle = det_bundle(-p.xi if fermi else p.xi, eta)
-    g_bar, b = bundle.A, bundle.B
-    if model.statistics == BOSE_EINSTEIN:
-        g_bar = bundle.A + t * bundle.A_c
-        b = bundle.B + t * bundle.B_c
-    r_bar = b / (g_bar * g_bar)
-    r = (0.5 if fermi else -0.5) * t * r_bar
-    if g_bar <= 0.0 or g_bar < 1e-12 * (abs(g.g11 * g.g22) + g.g12 * g.g12) / unit:
+        r = r_bar = 0.0
+    else:
+        fermi = model.statistics == FERMI_DIRAC
+        bundle = det_bundle(-p.xi if fermi else p.xi, eta)
+        g_bar, b = bundle.A, bundle.B
+        if model.statistics == BOSE_EINSTEIN:
+            g_bar = bundle.A + t * bundle.A_c
+            b = bundle.B + t * bundle.B_c
+        if g_bar * g_bar == 0.0:
+            raise SingularMetricError(f"geometry_sample: determinant factor {g_bar} underflows")
+        r_bar = b / (g_bar * g_bar)
+        r = (0.5 if fermi else -0.5) * t * r_bar
+    det_g = scale * scale * g_bar
+    if not (math.isfinite(det_g) and math.isfinite(r)):
+        raise DomainError(f"geometry_sample: det g = {det_g} or R = {r} leaves the float range")
+    if g_bar <= 0.0 or det_g < 1e-12 * (abs(g.g11 * g.g22) + g.g12 * g.g12):
         warnings.warn(
             f"geometry_sample: determinant factor {g_bar:.3e} is degenerate, "
             "curvature may be ill-conditioned", ConditioningWarning, stacklevel=2)
-    return GeometrySample(p, g, unit * g_bar, g_bar, r, r_bar)
+    return GeometrySample(p, g, det_g, g_bar, r, r_bar)
 
 
 def limit_coefficients(eta: float) -> LimitCoefficients:

@@ -73,6 +73,13 @@ def test_eval_domain_violation_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("beta, xi", [("1e-300", "0.5"), ("1e200", "0.5"), ("1", "1e-300")])
+def test_eval_out_of_range_point_exits_2(beta, xi, capsys):
+    code, _, err = run(capsys, "eval", "--stat", "fd", "--beta", beta, "--xi", xi)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("extra", [["--stat", "maxwell"], ["--stat", "fd", "--outputs", "bogus"]],
                          ids=["stat-maxwell", "outputs-bogus"])
 def test_unknown_stat_is_usage_error(extra, capsys):
@@ -143,6 +150,19 @@ def test_sweep_csv_structure_and_values(tmp_path, capsys):
     assert float(r0["R"]) == sample.R
     assert float(r0["g_bar"]) == sample.g_bar
     assert r0["error"] == ""
+
+
+def test_sweep_fills_error_column_and_continues(tmp_path, capsys):
+    out = tmp_path / "extreme.csv"
+    assert cli.main(["sweep", "--stat", "be0", "--beta-grid", "1e-300:1:3:log",
+                     "--xi-grid", "1e-300:0.5:2:log", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    assert all(r["error"] for r in rows[:4])  # beta = 1e-300 and 1e-150
+    assert rows[4]["error"] and rows[4]["R"] == ""  # beta = 1, xi = 1e-300
+    assert rows[5]["error"] == ""
+    assert float(rows[5]["R"]) > 0.0
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):

@@ -14,7 +14,8 @@ from scipy.integrate import quad
 
 import gasgeometry.gibbs_core as gc
 import gasgeometry.quantum_gas as qg
-from gasgeometry.errors import ConditioningWarning, DomainError
+from gasgeometry.errors import (ConditioningWarning, DomainError, PolylogOverflowError,
+                                SingularMetricError)
 from gasgeometry.special_functions import gamma_real, polylog
 
 GAMMA_32 = 0.8862269254527580137
@@ -305,9 +306,9 @@ def _mp_bundle(x, eta):
         return float(a), float(b), float(g[3] * L[2] * s1), float(b_c)
 
 
-# B at eta = -1/2 takes order -3/2 from polylog_step_down (~1e-7 relative)
+# B at eta < 0 takes order eta - 1 from polylog_step_down
 @pytest.mark.parametrize("eta, b_budget", [(0.5, 1e-10), (2.0, 1e-10), (10.0, 1e-10),
-                                           (-0.5, 1e-7)])
+                                           (-0.5, 1e-10), (-0.9, 1e-10)])
 def test_det_bundle_matches_mpmath(eta, b_budget):
     budgets = (1e-13, b_budget, 1e-13, 1e-10)
     for x in (-50.0, -5.0, -1.0, -0.3, 0.3, 0.9, 0.999):
@@ -375,6 +376,29 @@ def test_metric_positive_definite_for_all_statistics():
             g = qg.metric(qg.GasModel(stat, eta=eta, kappa=0.7), qg.ThermoPoint(0.8, xi))
             assert g.g11 > 0.0
             assert g.det > 0.0
+
+
+EXTREME_POINTS = [(1e-300, 0.5), (1e-200, 0.5), (1e200, 0.5), (1.0, 1e-300)]
+
+
+@pytest.mark.filterwarnings("ignore::gasgeometry.errors.ConditioningWarning")
+@pytest.mark.parametrize("stat", sorted(qg.STATISTICS))
+@pytest.mark.parametrize("beta, xi", EXTREME_POINTS)
+def test_extreme_points_keep_the_error_contract(stat, beta, xi):
+    # no bare ZeroDivisionError or OverflowError may escape
+    p = qg.ThermoPoint(beta, xi)
+    for eta in (-0.5, 0.5, 3.0):
+        model = qg.GasModel(stat, eta=eta)
+        for f in (qg.geometry_sample, qg.averages, qg.free_energy, qg.metric):
+            try:
+                out = f(model, p)
+            except (DomainError, PolylogOverflowError, SingularMetricError):
+                continue
+            if f is qg.geometry_sample:
+                out = (out.det_g, out.g_bar, out.R, out.R_bar, *out.metric.entries())
+            elif f is qg.metric:
+                out = out.entries()
+            assert np.all(np.isfinite(out)), (f.__name__, eta, out)
 
 
 def test_condensation_edge_divergence_removed():

@@ -168,7 +168,9 @@ def test_polylog_against_mpmath_broad_grid():
             y = 1.0 - float(10 ** rng.uniform(-8, -0.3))
         if y == 0.0:
             continue
-        rel = abs(sf.polylog(y, phi) - mp_polylog(y, phi)) / max(abs(mp_polylog(y, phi)), 1e-300)
+        with mp.workdps(25):  # agrees with 40 digits to ~1e-26 on these points
+            ref = mp_polylog(y, phi)
+        rel = abs(sf.polylog(y, phi) - ref) / max(abs(ref), 1e-300)
         worst = max(worst, rel)
     assert worst < 1e-10, f"worst relative error {worst:.3e}"
 
@@ -237,6 +239,23 @@ def test_polylog_domain_errors(y, phi):
         sf.polylog(y, phi)
 
 
+def test_step_down_domain_error_at_order_minus_one():
+    # Li(y, -2) lies outside the rule's domain phi > -1
+    with pytest.raises(DomainError):
+        sf.polylog_step_down(0.5, -1.0)
+
+
+@pytest.mark.parametrize("y, phi", [(-1e300, 150.0), (-1e300, 100.0), (-1e50, 120.0)])
+def test_polylog_large_order_at_huge_fermi_argument(y, phi):
+    # u^(phi+1) alone reaches ~e^987 at (-1e300, 150) while the value is
+    # ~1e163; the ~1e3 exponent costs about three digits
+    with mp.workdps(30):
+        ref = float(mp.re(mp.polylog(mp.mpf(phi), mp.mpf(y))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.polylog(y, phi) == pytest.approx(ref, rel=1e-12)
+
+
 def test_polylog_overflow_signalled(monkeypatch):
     # No float64 input inside the admitted domain can actually overflow, so
     # exercise the guard by forcing a branch to report divergence.
@@ -277,14 +296,39 @@ def test_step_down_closed_forms():
 
 
 def test_step_down_matches_direct_polylog():
-    assert sf.polylog_step_down(-0.7, 1.5) == pytest.approx(sf.polylog(-0.7, 0.5), rel=1e-7)
-    assert sf.polylog_step_down(-0.7, 1.5) == pytest.approx(-0.47746759105126794, rel=1e-7)
+    assert sf.polylog_step_down(-0.7, 1.5) == pytest.approx(sf.polylog(-0.7, 0.5), rel=1e-12)
+    assert sf.polylog_step_down(-0.7, 1.5) == pytest.approx(-0.47746759105126794, rel=1e-12)
 
 
 def test_step_down_reaches_order_below_domain():
     # phi - 1 = -1.6 is not directly evaluable; compare with mpmath
     got = sf.polylog_step_down(-0.4, -0.6)
-    assert got == pytest.approx(mp_polylog(-0.4, -1.6), rel=1e-6)
+    assert got == pytest.approx(mp_polylog(-0.4, -1.6), rel=1e-12)
+
+
+def _step_down_points():
+    # small |y|, the Fermi side, the Bose mid-range, the Bose edge, and
+    # orders phi -> -1+ (step-down orders -> -2+)
+    rng = np.random.default_rng(20261019)
+    for _ in range(30):
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        yield sign * float(10 ** rng.uniform(-6.0, math.log10(0.5))), float(rng.uniform(-1.0, 5.0))
+        yield -float(10 ** rng.uniform(math.log10(0.5), 4.0)), float(rng.uniform(-1.0, 5.0))
+        yield float(rng.uniform(0.5, 1.0 - 1e-3)), float(rng.uniform(-1.0, 5.0))
+        yield 1.0 - float(10 ** rng.uniform(-8.0, -3.0)), float(rng.uniform(-1.0, 5.0))
+    for k in (3, 6, 9, 12):
+        for y in (-300.0, -1.0, -0.3, 0.3, 0.85, 1.0 - 1e-6):
+            yield y, -1.0 + 10.0 ** -k
+
+
+def test_polylog_step_down_against_mpmath():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow/invalid may escape
+        for y, phi in _step_down_points():
+            with mp.workdps(25):
+                ref = mp.re(mp.polylog(mp.mpf(phi) - 1, mp.mpf(y)))
+                rel = float(abs((sf.polylog_step_down(y, phi) - ref) / ref))
+            assert rel < 1e-13, (y, phi, rel)
 
 
 def test_polylog_thread_safety():
