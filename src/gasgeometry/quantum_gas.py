@@ -418,20 +418,28 @@ def limit_curvature(model: GasModel, beta: float) -> float:
     Fermi-Dirac:  R -> (beta^(eta+1)/2 kappa) h/f^2            (negative)
     Bose-Einstein: R -> -(beta^(eta+1)/2 kappa)
                         (h + h_c t) / (f + f_c t)^2, t = beta^(eta+1)/kappa
-    (positive).  beta = 0 is admitted and gives 0, the classical limit.
+    (positive).  beta = 0 is admitted and gives 0, the classical limit; a
+    t or limit outside the float range raises DomainError.
     """
     if model.statistics not in (FERMI_DIRAC, BOSE_EINSTEIN):
         raise DomainError("limit_curvature is defined for 'fd' and 'be' statistics")
     if not math.isfinite(beta) or beta < 0.0:
         raise DomainError(f"beta must be >= 0, got {beta}")
     c = limit_coefficients(model.eta)
-    t = beta ** (model.eta + 1.0) / model.kappa
+    try:
+        t = beta ** (model.eta + 1.0) / model.kappa
+    except OverflowError:
+        t = math.inf
     if t == 0.0:
         return 0.0  # classical limit beta -> 0
     if model.statistics == FERMI_DIRAC:
-        return 0.5 * t * c.h / (c.f * c.f)
-    denom = c.f + c.f_c * t
-    return -0.5 * t * (c.h + c.h_c * t) / (denom * denom)
+        out = 0.5 * t * c.h / (c.f * c.f)
+    else:  # each ratio stays finite where t^2 overflows
+        denom = c.f + c.f_c * t
+        out = -0.5 * (t / denom) * ((c.h + c.h_c * t) / denom)
+    if not math.isfinite(out):
+        raise DomainError(f"the low-fugacity limit leaves the float range at beta = {beta!r}")
+    return out
 
 
 # --------------------------------------------------------------------------

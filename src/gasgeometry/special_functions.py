@@ -18,7 +18,9 @@ between three regimes:
   scale and truncation are given in :func:`polylog_quadrature`, and
   :func:`polylog_step_down` differentiates it exactly for Li(y, phi - 1),
 * an expansion about ln y = 0 for y in [1 - 1e-3, 1), which is the
-  Bose-Einstein condensation edge.
+  Bose-Einstein condensation edge, at orders phi < 0.5 or at least 0.03
+  from an integer; nearer a positive integer its Gamma and zeta poles
+  cancel, so there the double-exponential rule serves the edge too.
 
 Each branch is cross-checked against the others by the test suite and by
 ``gasgeometry.verification``.  Gamma and Riemann zeta, which the edge
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import (gamma as _scipy_gamma, gammaln as _scipy_gammaln,
-                           polygamma as _scipy_polygamma, zeta as _scipy_zeta)
+                           zeta as _scipy_zeta)
 
 from .errors import DomainError, PolylogOverflowError
 
@@ -45,16 +47,12 @@ __all__ = [
     "polylog_step_down",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
-# Stieltjes constants gamma_1, gamma_2 (expansion of zeta about its pole)
-_STIELTJES_1 = -0.0728158454836767249
-_STIELTJES_2 = -0.00969036319287191723
-
 # Series regime |y| <= 0.5, quadrature up to the condensation edge window.
 _SERIES_CUT = 0.5
 _SERIES_TOL = 1e-16
 _SERIES_MAX_TERMS = 5000
 _EDGE_CUT = 1.0 - 1e-3
+_EDGE_BAND = 0.03  # orders phi >= 0.5 this close to an integer go to the DE rule
 
 # Nodes ln(u/scale) = pi/2 sinh t and log weights ln(h pi/2 cosh t) of
 # polylog_quadrature at t = k h; read-only, as every caller shares them.
@@ -122,8 +120,9 @@ def _validate(y: float, phi: float) -> tuple[float, float]:
 def polylog_series(y: float, phi: float) -> float:
     """Direct summation of sum_k y^k / k^phi.
 
-    Terminates once a term drops below 1e-16 times the partial sum.
-    Practical for |y| <= ~0.9; the dispatcher uses it for |y| <= 0.5.
+    Terminates once a term drops below 1e-16 times the partial sum, and
+    raises DomainError if 5000 terms do not get there.  Practical for
+    |y| <= ~0.9; the dispatcher uses it for |y| <= 0.5.
     """
     y, phi = _validate(y, phi)
     if abs(y) >= 1.0:
@@ -134,7 +133,8 @@ def polylog_series(y: float, phi: float) -> float:
         total += term
         if abs(term) <= _SERIES_TOL * abs(total):
             return total
-    raise ArithmeticError(f"polylog series did not converge for y={y}, phi={phi}")
+    raise DomainError(f"polylog series did not converge within {_SERIES_MAX_TERMS} "
+                      f"terms at y={y!r}, phi={phi!r}")
 
 
 def _de_rule(y: float, phi: float, lower: bool) -> float:
@@ -195,57 +195,23 @@ def polylog_quadrature(y: float, phi: float) -> float:
     return _de_rule(y, phi, lower=False)
 
 
-def _edge_regular_part(w: float, phi: float, skip: int) -> float:
-    # sum_{j != skip} zeta(phi - j) w^j / j!  (skip < 0 skips nothing)
-    total = 0.0
+def _polylog_edge(y: float, phi: float) -> float:
+    # Expansion about ln y = 0 (Lewin 1981), w = ln y, y in [1 - 1e-3, 1):
+    #   Li(y, phi) = Gamma(1-phi) (-w)^(phi-1) + sum_j zeta(phi-j) w^j / j!
+    # Near a positive integer order n the Gamma term and the j = n-1 zeta
+    # term are both singular and cancel, so polylog sends orders within
+    # _EDGE_BAND of n >= 1 to the double-exponential rule instead.
+    w = math.log(y)
+    total = float(_scipy_gamma(1.0 - phi)) * (-w) ** (phi - 1.0)
     wj = 1.0
-    for j in range(0, 60):
+    for j in range(60):
         if j > 0:
             wj *= w / j
-        if j == skip:
-            continue
         term = zeta_real(phi - j) * wj
         total += term
         if j > 4 and abs(term) < 1e-18 * max(abs(total), 1e-300):
             break
     return total
-
-
-def _polylog_edge(y: float, phi: float) -> float:
-    # Expansion about ln y = 0 for y in [1 - 1e-3, 1):
-    #   Li(y, phi) = Gamma(1-phi) (-w)^(phi-1) + sum_j zeta(phi-j) w^j / j!
-    # with w = ln y.  For phi at (or within ~2e-5 of) a positive integer n
-    # the Gamma term and the j = n-1 zeta term are separately singular and
-    # are combined analytically.
-    w = math.log(y)
-    n = round(phi)
-    delta = phi - n
-    if n < 1:
-        return (_edge_regular_part(w, phi, skip=-1)
-                + float(_scipy_gamma(1.0 - phi)) * (-w) ** (phi - 1.0))
-    regular = _edge_regular_part(w, phi, skip=n - 1)
-    wn = w ** (n - 1) / math.factorial(n - 1)
-    L = math.log(-w)
-    if abs(delta) < 2e-5:
-        # limit n integer: bracket -> H_{n-1} - ln(-w); kept to second order
-        # in delta so the handover to the direct pole-pair form stays below
-        # 1e-10 even for order phi near 1 at y = 1 - 1e-8
-        ps = float(_scipy_polygamma(0, n))
-        ps1 = float(_scipy_polygamma(1, n))
-        ps2 = float(_scipy_polygamma(2, n))
-        a1 = -ps
-        a2 = 0.5 * (ps * ps - ps1)
-        a3 = -(ps**3 - 3.0 * ps * ps1 + ps2) / 6.0
-        pi2_6 = math.pi**2 / 6.0
-        p2 = 0.5 * L * L + pi2_6 + a2 + L * a1
-        p3 = L**3 / 6.0 + 0.5 * L * L * a1 + L * a2 + a3 + pi2_6 * (L + a1)
-        bracket = ((_EULER_GAMMA + ps - L) + delta * (-_STIELTJES_1 - p2)
-                   + delta * delta * (0.5 * _STIELTJES_2 - p3))
-        return regular + wn * bracket
-    pole_pair = ((-1.0) ** n * math.pi / (math.sin(math.pi * delta)
-                 * float(_scipy_gamma(n + delta))) * (-w) ** (phi - 1.0)
-                 + zeta_real(1.0 + delta) * wn)
-    return regular + pole_pair
 
 
 @lru_cache(maxsize=1 << 16)
@@ -254,7 +220,11 @@ def polylog(y: float, phi: float) -> float:
 
     Relative accuracy is ~1e-13 (target 1e-10) on y in [-1e4, 1 - 1e-8],
     phi in [-1, 6].  Orders -1, 0, 1 use their closed forms
-    y/(1-y)^2, y/(1-y) and -ln(1-y).  Divergence toward y -> 1- with
+    y/(1-y)^2, y/(1-y) and -ln(1-y).  For y >= 1 - 1e-3 the expansion
+    about ln y = 0 serves orders phi < 0.5 and those at least 0.03 from an
+    integer (~1e-15 there); the double-exponential rule serves the orders
+    near a positive integer, where the expansion's poles would cancel
+    ~log10(1/delta) digits at distance delta.  Divergence toward y -> 1- with
     phi <= 1 is physical; a value outside the representable range raises
     :class:`PolylogOverflowError` rather than returning ``inf``.
 
@@ -270,7 +240,7 @@ def polylog(y: float, phi: float) -> float:
         out = y / ((1.0 - y) * (1.0 - y))
     elif abs(y) <= _SERIES_CUT:
         out = polylog_series(y, phi)
-    elif y >= _EDGE_CUT:
+    elif y >= _EDGE_CUT and (phi < 0.5 or abs(phi - round(phi)) >= _EDGE_BAND):
         out = _polylog_edge(y, phi)
     else:
         out = polylog_quadrature(y, phi)

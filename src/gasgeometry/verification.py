@@ -75,7 +75,12 @@ def suite_polylog_identities(full: bool = False) -> SuiteResult:
         for phi in (1.5, 2.0, 2.5, 3.0, 4.0):
             y = 1.0 - 1e-6
             worst = max(worst, _rel(polylog(y, phi - 1.0), polylog_step_down(y, phi)))
-        extra = "including xi = 1 - 1e-6 edge checks"
+        # Euler's reflection ties order 2 at the edge to the series regime
+        for y in (1.0 - 1e-6, 1.0 - 1e-8):
+            x = 1.0 - y  # exact, so x and y sum to one
+            worst = max(worst, _rel(polylog(y, 2.0) + polylog(x, 2.0),
+                                    math.pi**2 / 6.0 - math.log(y) * math.log(x)))
+        extra = "including xi = 1 - 1e-6 edge checks and Euler's reflection"
     return _result("polylog identities", tol, worst, extra)
 
 

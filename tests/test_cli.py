@@ -224,6 +224,12 @@ def test_limits_table(capsys):
     assert float(row1[1]) == pytest.approx(-0.24935, abs=1e-3)
 
 
+def test_limits_out_of_range_beta_exits_2(capsys):
+    code, _, err = run(capsys, "limits", "--eta", "2", "--beta", "1e200")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -601,6 +601,13 @@ def test_limit_curvature_values():
     assert qg.limit_curvature(be, 1.0) == pytest.approx(expected_be, rel=1e-12)
     assert qg.limit_curvature(fd, 0.0) == 0.0
     assert qg.limit_curvature(be, 0.0) == 0.0
+    # beta^(eta+1) overflows; at t = 1e200 the Bose limit nears -h_c/(2 f_c^2)
+    for stat in ("fd", "be"):
+        with pytest.raises(DomainError):
+            qg.limit_curvature(qg.GasModel(stat, eta=2.0), 1e200)
+    c0 = qg.limit_coefficients(0.0)
+    assert qg.limit_curvature(qg.GasModel("be", eta=0.0), 1e200) == pytest.approx(
+        -0.5 * c0.h_c / c0.f_c**2, rel=1e-12)
     with pytest.raises(DomainError):
         qg.limit_curvature(qg.GasModel("classical"), 1.0)
 

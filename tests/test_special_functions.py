@@ -176,10 +176,18 @@ def test_polylog_against_mpmath_broad_grid():
 
 
 def test_polylog_near_integer_orders_at_edge():
-    # Gamma/zeta pole pair must cancel smoothly near integer orders
-    for phi in (1.999999, 2.000001, 3.0 + 3e-6, 4.0 - 1e-7, 2.0 + 1e-13):
-        for y in (0.9995, 1.0 - 1e-7):
-            assert sf.polylog(y, phi) == pytest.approx(mp_polylog(y, phi), rel=1e-10)
+    # orders within _EDGE_BAND of a positive integer leave the edge expansion,
+    # whose Gamma and zeta poles cancel there, for the double-exponential
+    # rule: both sides of the band edge, and orders near 1 down to 2e-5 away
+    band = sf._EDGE_BAND
+    phis = [1.999999, 2.000001, 3.0 + 3e-6, 4.0 - 1e-7, 2.0 + 1e-13]
+    phis += [n + s * band * (1.0 + t) for n in range(1, 7) for s in (-1, 1) for t in (-1e-3, 1e-3)]
+    phis += [1.0 + d for d in (2e-5, -2e-5, 1e-4, -1e-4, -1e-3)]
+    for phi in phis:
+        for y in (0.9995, 1.0 - 1e-7, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-8):
+            with mp.workdps(30):
+                ref = mp_polylog(y, phi)
+            assert sf.polylog(y, phi) == pytest.approx(ref, rel=1e-13), (y, phi)
 
 
 def test_polylog_series_vs_quadrature_agreement():
@@ -233,10 +241,16 @@ def test_polylog_order_near_minus_one():
 # polylog: domain, overflow, invariants
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("y, phi", [(1.0, 2.0), (1.5, 2.0), (0.5, -1.5), (math.nan, 2.0)])
+@pytest.mark.parametrize("y, phi", [(1.0, 2.0), (1.5, 2.0), (0.5, -1.5), (math.nan, 2.0),
+                                    (0.999, -0.9), (-0.999, 2.0)])
 def test_polylog_domain_errors(y, phi):
+    # the last two lie inside the domain, but the direct series runs out of
+    # terms there; polylog itself serves them by the other regimes
     with pytest.raises(DomainError):
-        sf.polylog(y, phi)
+        sf.polylog_series(y, phi)
+    if not (abs(y) < 1.0 and phi >= -1.0):
+        with pytest.raises(DomainError):
+            sf.polylog(y, phi)
 
 
 def test_step_down_domain_error_at_order_minus_one():
