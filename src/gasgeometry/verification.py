@@ -5,16 +5,17 @@ code path with it (series vs quadrature, closed form vs finite
 differences, determinant vs Christoffel contraction, product form vs
 brute enumeration) and reports the worst observed deviation against the
 suite tolerance.  ``run_suites`` drives them all; the CLI ``verify``
-subcommand is a thin wrapper.  Scipy's adaptive ``quad`` is deliberately
-not an oracle here: importing ``scipy.integrate`` would load
-``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` into every CLI
-process.
+subcommand is a thin wrapper.  The package loads no scipy module, so
+scipy's adaptive ``quad`` is not an oracle here.
 
-All sampling is deterministic (fixed seeds, fixed grids).
+All sampling is deterministic (fixed seeds, fixed grids); random points
+come from the standard library's ``random``, not ``numpy.random``, whose
+import would cost more than the suite that draws them.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -56,10 +57,10 @@ def suite_polylog_identities(full: bool = False) -> SuiteResult:
         worst = max(worst, _rel(polylog(y, 0.0), y / (1.0 - y)))
         worst = max(worst, _rel(polylog(y, -1.0), y / (1.0 - y) ** 2))
     # derivative identity Li(y, phi-1) = y d/dy Li(y, phi) on random points
-    rng = np.random.default_rng(20240817)
+    rng = random.Random(20240817)
     for _ in range(100):
         phi = rng.uniform(0.2, 5.0)
-        y = float(rng.uniform(-4.0, 0.95))
+        y = rng.uniform(-4.0, 0.95)
         if abs(y) < 1e-3:
             continue
         worst = max(worst, _rel(polylog_step_down(y, phi), polylog(y, phi - 1.0)))

@@ -3,9 +3,10 @@
 Each module of ``gasgeometry`` is parsed with ``ast``; a module-level
 import, or a module-level private name (a leading underscore), that the
 module itself never loads is dead code left behind by an edit.  The
-import test keeps the command-line entry point off ``scipy.integrate``,
-which would pull ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``
-into every process.
+import tests run in fresh interpreters: importing the command-line entry
+point loads no scipy module (``scipy.special`` alone took over half of that
+import), and ``run_suites("full")`` leaves ``numpy.random`` unloaded (its
+import would dominate the cheapest suite).
 """
 import ast
 import os
@@ -60,9 +61,23 @@ def test_module_level_imports_and_private_names_are_used(path):
     assert not unused, f"defined or imported but never used: {unused}"
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def _fresh_modules(code):
+    # names in sys.modules after running code in a new interpreter
     src = str(Path(gasgeometry.__file__).parents[1])
-    code = "import gasgeometry.cli, sys; print('scipy.integrate' in sys.modules)"
+    code += "\nimport sys; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.split()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    loaded = _fresh_modules("import gasgeometry.cli")
+    assert "gasgeometry.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_full_verify_leaves_numpy_random_unloaded():
+    loaded = _fresh_modules("from gasgeometry import verification\n"
+                            "assert all(r.passed for r in verification.run_suites('full'))")
+    assert "gasgeometry.verification" in loaded
+    assert "numpy.random" not in loaded

@@ -113,6 +113,46 @@ def test_zeta_against_mpmath_sweep():
         assert sf.zeta_real(s) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
+def _zeta_accuracy_points():
+    # seeded points in [-60.5, 10] at least 1e-3 from a trivial zero, where
+    # the value vanishes, plus the pole, s = 0 and the s = 1/2 branch seam
+    rng = np.random.default_rng(7)
+    points = [s for s in rng.uniform(-60.5, 10.0, 520).tolist()
+              if s > 0.0 or abs(s - 2.0 * round(0.5 * s)) >= 1e-3]
+    return points + [1.0 + 1e-8, 1.0 - 1e-8, 1e-8, 0.5 + 1e-10, 0.5 - 1e-10, -59.5]
+
+
+def test_zeta_against_mpmath_dense():
+    worst = max((abs(sf.zeta_real(s) / float(mp.zeta(mp.mpf(s))) - 1.0), s)
+                for s in _zeta_accuracy_points())
+    assert worst[0] < 1e-13, worst
+
+
+_inf = float("inf")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: sf.gamma_real(200.0), _inf),
+    (lambda: sf.zeta_real(-260.5), -_inf),
+    (lambda: sf.zeta_real(-262.5), _inf),
+    (lambda: sf.zeta_real(-1e6 - 0.5), -_inf),
+    (lambda: sf.zeta_real(math.nan), DomainError),
+    (lambda: sf.zeta_real(_inf), DomainError),
+    (lambda: sf.zeta_real(-_inf), DomainError),
+    # the ladder turns gamma_real's inf into the package error
+    (lambda: geometry_sample(GasModel("fd", eta=200.0), ThermoPoint(1.0, 0.5)), DomainError),
+], ids=["gamma-overflow", "zeta-neg-overflow", "zeta-pos-overflow", "zeta-far",
+        "zeta-nan", "zeta-inf", "zeta-neg-inf", "ladder-gamma-overflow"])
+def test_gamma_zeta_overflow_and_domain_contract(call, expected):
+    # past the double range: a signed inf, as scipy.special gives; a
+    # non-finite argument: DomainError, never a bare ArithmeticError
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        assert call() == expected
+
+
 # ---------------------------------------------------------------------------
 # polylog: closed forms and frozen references
 # ---------------------------------------------------------------------------
