@@ -27,9 +27,13 @@ from .errors import (DomainError, EnumerationLimitError, PolylogOverflowError,
 from .quantum_gas import GasModel, ThermoPoint
 
 __all__ = ["GridSpec", "SweepSpec", "main", "FIGURE_PRESETS",
-           "CSV_COLUMNS", "OUTPUT_CHOICES"]
+           "CSV_COLUMNS", "OUTPUT_CHOICES", "OUTPUT_COLUMNS"]
 
-OUTPUT_CHOICES = ("metric", "det", "curvature", "gbar", "rbar", "averages")
+# each output quantity and the CSV cells it fills
+OUTPUT_COLUMNS = {"metric": ("g11", "g12", "g22"), "det": ("det_g", "g_bar"),
+                  "curvature": ("R",), "gbar": ("g_bar",), "rbar": ("R_bar",),
+                  "averages": ("U", "N")}
+OUTPUT_CHOICES = tuple(OUTPUT_COLUMNS)
 CSV_COLUMNS = ("beta", "xi", "eta", "kappa", "stat",
                "g11", "g12", "g22", "det_g", "g_bar", "R", "R_bar", "U", "N",
                "error")
@@ -104,34 +108,28 @@ class SweepSpec:
 
 
 def _point_record(model: GasModel, p: ThermoPoint, outputs: frozenset[str]) -> dict[str, str]:
-    row = {c: "" for c in CSV_COLUMNS}
+    row = dict.fromkeys(CSV_COLUMNS, "")
     row["beta"] = _fmt(p.beta)
     row["xi"] = _fmt(p.xi)
     row["eta"] = _fmt(model.eta)
     row["kappa"] = _fmt(model.kappa)
     row["stat"] = model.statistics
+    cells = {}
     try:
-        needs_sample = outputs & {"metric", "det", "curvature", "gbar", "rbar"}
-        if needs_sample:
+        if outputs - {"averages"}:
             sample = quantum_gas.geometry_sample(model, p)
-            if "metric" in outputs:
-                row["g11"] = _fmt(sample.metric.g11)
-                row["g12"] = _fmt(sample.metric.g12)
-                row["g22"] = _fmt(sample.metric.g22)
-            if "det" in outputs:
-                row["det_g"] = _fmt(sample.det_g)
-            if "det" in outputs or "gbar" in outputs:
-                row["g_bar"] = _fmt(sample.g_bar)
-            if "curvature" in outputs:
-                row["R"] = _fmt(sample.R)
-            if "rbar" in outputs:
-                row["R_bar"] = _fmt(sample.R_bar)
+            g = sample.metric
+            cells = {"g11": g.g11, "g12": g.g12, "g22": g.g22, "det_g": sample.det_g,
+                     "g_bar": sample.g_bar, "R": sample.R, "R_bar": sample.R_bar}
         if "averages" in outputs:
-            u, n = quantum_gas.averages(model, p)
-            row["U"] = _fmt(u)
-            row["N"] = _fmt(n)
+            cells["U"], cells["N"] = quantum_gas.averages(model, p)
     except (DomainError, PolylogOverflowError, SingularMetricError) as exc:
         row["error"] = str(exc).replace(",", ";")
+    # cells computed before a failure are still reported
+    for name in outputs:
+        for column in OUTPUT_COLUMNS[name]:
+            if column in cells:
+                row[column] = _fmt(cells[column])
     return row
 
 
@@ -143,13 +141,11 @@ def sweep_rows(spec: SweepSpec) -> Iterable[dict[str, str]]:
 
 
 def write_sweep(specs: Sequence[SweepSpec], stream: TextIO) -> None:
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for spec in specs:
-        if not spec.outputs:
-            continue  # header-only output for an empty set
-        for row in sweep_rows(spec):
-            writer.writerow(row)
+        if spec.outputs:  # an empty set writes the header only
+            writer.writerows(row.values() for row in sweep_rows(spec))
 
 
 # --------------------------------------------------------------------------
@@ -192,23 +188,16 @@ FIGURE_PRESETS: dict[int, list[SweepSpec]] = {
 def cmd_eval(args) -> int:
     model = GasModel(args.stat, eta=args.eta, kappa=args.kappa)
     outputs = frozenset(args.outputs or OUTPUT_CHOICES)
-    p = ThermoPoint(args.beta, args.xi)
-    row = _point_record(model, p, outputs)
+    row = _point_record(model, ThermoPoint(args.beta, args.xi), outputs)
     if row["error"]:
         raise DomainError(row["error"])
-    for key in CSV_COLUMNS[:-1]:
-        if row[key] != "":
-            print(f"{key}={row[key]}")
+    print("\n".join(f"{key}={value}" for key, value in row.items() if value))
     return 0
 
 
-def _grid_from(flag: str | None, cfg: dict, key: str) -> GridSpec:
-    # the command-line flag wins over the config file entry
-    if flag is not None:
-        return GridSpec.parse(flag)
-    if key in cfg:
-        return GridSpec.from_config(cfg[key])
-    raise DomainError(f"sweep needs --{key.replace('_', '-')} min:max:count[:log]")
+_REQUIRED = {"stat": "--stat (or 'stat' in the config file)",
+             "beta_grid": "--beta-grid min:max:count[:log]",
+             "xi_grid": "--xi-grid min:max:count[:log]"}
 
 
 def _sweep_spec_from_args(args) -> SweepSpec:
@@ -216,18 +205,24 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    stat = args.stat or cfg.get("stat")
-    if stat is None:
-        raise DomainError("sweep needs --stat (or 'stat' in the config file)")
-    eta = args.eta if args.eta is not None else float(cfg.get("eta", 0.5))
-    kappa = args.kappa if args.kappa is not None else float(cfg.get("kappa", 1.0))
-    beta_grid = _grid_from(args.beta_grid, cfg, "beta_grid")
-    xi_grid = _grid_from(args.xi_grid, cfg, "xi_grid")
-    if args.outputs is not None:
-        outputs = frozenset(args.outputs)
-    else:
-        outputs = frozenset(cfg.get("outputs", OUTPUT_CHOICES))
-    return SweepSpec(GasModel(stat, eta=eta, kappa=kappa), beta_grid, xi_grid, outputs)
+        if not isinstance(cfg, dict):
+            raise DomainError(f"config file {args.config} must hold a JSON object")
+    for key in (*_REQUIRED, "eta", "kappa", "outputs"):
+        if getattr(args, key) is not None:  # a flag wins over the config file
+            cfg[key] = getattr(args, key)
+    for key, flag in _REQUIRED.items():
+        if key not in cfg:
+            raise DomainError(f"sweep needs {flag}")
+    try:
+        model = GasModel(cfg["stat"], eta=float(cfg.get("eta", 0.5)),
+                         kappa=float(cfg.get("kappa", 1.0)))
+        return SweepSpec(model, GridSpec.from_config(cfg["beta_grid"]),
+                         GridSpec.from_config(cfg["xi_grid"]),
+                         frozenset(cfg.get("outputs", OUTPUT_CHOICES)))
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"bad sweep config: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:

@@ -87,7 +87,10 @@ class LagrangeCoords:
 
     @property
     def xi(self) -> float:
-        return math.exp(-self.lambda2)
+        try:  # inf past the double range (lambda2 < -709.78) fails every domain check
+            return math.exp(-self.lambda2)
+        except OverflowError:
+            return math.inf
 
     def shifted(self, d1: float = 0.0, d2: float = 0.0) -> "LagrangeCoords":
         return LagrangeCoords(self.lambda1 + d1, self.lambda2 + d2)
@@ -405,6 +408,14 @@ def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     return product
 
 
+def _log_rho(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
+    # log probability of every enumerated joint state
+    _level_weights(spec, at)  # rejects Bose levels with q_i >= 1
+    a1, a2 = _sufficient_statistics(spec)
+    logits = -at.lambda1 * a1 - at.lambda2 * a2
+    return logits - _logsumexp(logits)
+
+
 def fock_moments(spec: FockEnsembleSpec,
                  at: LagrangeCoords) -> tuple[float, float, MetricTensor2]:
     """Exact (U, N) and covariance of the sufficient statistics.
@@ -412,27 +423,18 @@ def fock_moments(spec: FockEnsembleSpec,
     The covariance equals the Fisher-Rao metric of the ensemble, i.e.
     the negative Hessian of F = -log Z (identity checked by the tests).
     """
-    _level_weights(spec, at)  # rejects Bose levels with q_i >= 1
+    rho = np.exp(_log_rho(spec, at))
     a1, a2 = _sufficient_statistics(spec)
-    logits = -at.lambda1 * a1 - at.lambda2 * a2
-    rho = np.exp(logits - _logsumexp(logits))
-    u = float(rho @ a1)
-    n = float(rho @ a2)
-    da1 = a1 - u
-    da2 = a2 - n
-    cov = MetricTensor2(float(rho @ (da1 * da1)),
-                        float(rho @ (da1 * da2)),
-                        float(rho @ (da2 * da2)))
-    return u, n, cov
+    u, n = float(rho @ a1), float(rho @ a2)
+    da1, da2 = a1 - u, a2 - n
+    return u, n, MetricTensor2(float(rho @ (da1 * da1)), float(rho @ (da1 * da2)),
+                               float(rho @ (da2 * da2)))
 
 
 def fock_entropy(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     """Directly enumerated Gibbs entropy -sum rho log rho (uniform prior)."""
-    a1, a2 = _sufficient_statistics(spec)
-    logits = -at.lambda1 * a1 - at.lambda2 * a2
-    logrho = logits - _logsumexp(logits)
-    rho = np.exp(logrho)
-    return float(-np.sum(rho * logrho))
+    logrho = _log_rho(spec, at)
+    return float(-np.sum(np.exp(logrho) * logrho))
 
 
 def fock_free_energy_field(spec: FockEnsembleSpec) -> FreeEnergyField:

@@ -198,6 +198,39 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     assert all(r["R"] != "" for r in rows)
 
 
+# the cells each output quantity fills, spelled out independently of cli
+CELLS = {"metric": {"g11", "g12", "g22"}, "det": {"det_g", "g_bar"}, "curvature": {"R"},
+         "gbar": {"g_bar"}, "rbar": {"R_bar"}, "averages": {"U", "N"}}
+
+
+@pytest.mark.parametrize("choice", list(CELLS))
+def test_sweep_fills_exactly_the_cells_of_one_output(choice, tmp_path, capsys):
+    columns = CELLS[choice]
+    assert set(cli.OUTPUT_COLUMNS[choice]) == columns
+    argv, out = sweep_args(tmp_path, extra=("--outputs", choice))
+    assert cli.main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 15
+    for row in rows:
+        filled = {key for key, value in row.items() if value}
+        assert filled == {"beta", "xi", "eta", "kappa", "stat"} | columns
+
+
+@pytest.mark.parametrize("cfg", [
+    {"stat": "fd", "beta_grid": {"min": 1.0, "count": 2}, "xi_grid": "0.5:1:2"},
+    {"stat": "fd", "eta": "abc", "beta_grid": "1:2:2", "xi_grid": "0.5:1:2"},
+    ["fd", "1:2:2", "0.5:1:2"],
+], ids=["grid-without-max", "eta-not-a-number", "top-level-list"])
+def test_sweep_malformed_config_is_domain_error(cfg, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "sweep", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "bad.csv"))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_sweep_missing_grid_is_domain_error(capsys):
     code, _, err = run(capsys, "sweep", "--stat", "fd", "--beta-grid", "1:2:2")
     assert code == 2

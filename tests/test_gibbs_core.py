@@ -43,6 +43,27 @@ def test_free_energy_field_domain_box():
     assert not field.contains(LagrangeCoords(1.0, -0.5))  # xi > 1
 
 
+_FD = qg.GasModel("fd", eta=0.5, kappa=1.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda at: gc.hessian_metric(qg.free_energy_field(_FD), at),
+    lambda at: gc.jacobian_metric(
+        lambda c: qg.averages(_FD, qg.ThermoPoint.from_coords(c)), at),
+    lambda at: gc.scalar_curvature_det(qg.metric_field(_FD), at),
+    lambda at: gc.scalar_curvature_riemann(qg.metric_field(_FD), at),
+    lambda at: gc.legendre_entropy(qg.free_energy_field(_FD), at),
+    qg.ThermoPoint.from_coords,
+], ids=["hessian_metric", "jacobian_metric", "scalar_curvature_det",
+        "scalar_curvature_riemann", "legendre_entropy", "from_coords"])
+def test_fugacity_past_the_double_range_is_a_domain_error(entry):
+    # xi = exp(800) overflows a double: a DomainError, not a bare OverflowError
+    at = LagrangeCoords(1.0, -800.0)
+    assert at.xi == math.inf
+    with pytest.raises(DomainError):
+        entry(at)
+
+
 # ---------------------------------------------------------------------------
 # hessian metric
 # ---------------------------------------------------------------------------
@@ -326,6 +347,16 @@ def test_be_cap_independence_precondition():
     spec = FockEnsembleSpec((0.0,), "be")  # ground level: needs xi < 1
     with pytest.raises(DomainError):
         gc.fock_log_partition(spec, LagrangeCoords(1.0, -0.1))  # xi > 1
+
+
+@pytest.mark.parametrize("oracle", [gc.fock_log_partition, gc.fock_moments, gc.fock_entropy],
+                         ids=lambda f: f.__name__)
+def test_every_bose_oracle_rejects_a_level_ratio_above_one(oracle):
+    # q = xi exp(-beta eps) = exp(0.5) on the lower level: the enumerated
+    # values would depend on the occupancy cap
+    spec = FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=60)
+    with pytest.raises(DomainError):
+        oracle(spec, LagrangeCoords(1.0, -1.5))
 
 
 def test_single_level_moments():
