@@ -10,7 +10,7 @@ everywhere.
 import numpy as np
 
 from gasgeometry import (GasModel, ThermoPoint, dos_catalog, geometry_sample,
-                         limit_curvature, metric_fd)
+                         limit_curvature, metric)
 
 # density-of-states parameters straight from the catalog (natural units)
 entry = dos_catalog("box", 3)
@@ -21,7 +21,7 @@ model = GasModel("fd", eta=entry.eta, kappa=1.0)  # kappa = 1: emergent units
 
 # --- the metric at one point -------------------------------------------------
 p = ThermoPoint(beta=1.0, xi=0.5)
-g = metric_fd(model, p)
+g = metric(model, p)
 print(f"\nmetric at (beta, xi) = (1, 0.5):")
 print(f"  g11 = {g.g11:.9f}   (energy fluctuations)")
 print(f"  g12 = {g.g12:.9f}   (energy-number covariance)")

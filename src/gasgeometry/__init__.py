@@ -30,7 +30,6 @@ from .quantum_gas import (BOSE_EINSTEIN, BOSE_EINSTEIN_NO_GROUND,
                           free_energy_field, geometry_sample,
                           ground_state_free_energy, ground_state_occupation,
                           limit_coefficients, limit_curvature, metric,
-                          metric_be, metric_classical, metric_fd,
                           metric_field)
 from .special_functions import (gamma_real, polylog, polylog_quadrature,
                                 polylog_series, polylog_step_down, zeta_real)
@@ -51,7 +50,7 @@ __all__ = [
     "averages", "det_bundle", "dos_catalog", "free_energy",
     "free_energy_field", "geometry_sample", "ground_state_free_energy",
     "ground_state_occupation", "limit_coefficients", "limit_curvature",
-    "metric", "metric_be", "metric_classical", "metric_fd", "metric_field",
+    "metric", "metric_field",
     "gamma_real", "polylog", "polylog_quadrature", "polylog_series",
     "polylog_step_down", "zeta_real",
     "__version__",

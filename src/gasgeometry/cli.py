@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -336,6 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # a reader such as `head` closed stdout: stop quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, EnumerationLimitError, PolylogOverflowError,
             SingularMetricError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

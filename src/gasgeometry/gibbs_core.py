@@ -97,27 +97,6 @@ class LagrangeCoords:
 
 
 @dataclass(frozen=True)
-class FreeEnergyField:
-    """A free energy F(lambda) = -log Z together with its validity box.
-
-    ``beta_range`` and ``xi_range`` are open intervals bounding the domain
-    in (beta, xi); stencil points outside the box raise ``DomainError``.
-    """
-
-    evaluator: Callable[[LagrangeCoords], float]
-    beta_range: tuple[float, float] = (0.0, math.inf)
-    xi_range: tuple[float, float] = (0.0, math.inf)
-
-    def contains(self, at: LagrangeCoords) -> bool:
-        xi = at.xi
-        return (self.beta_range[0] < at.lambda1 < self.beta_range[1]
-                and self.xi_range[0] < xi < self.xi_range[1])
-
-    def __call__(self, at: LagrangeCoords) -> float:
-        return float(self.evaluator(at))
-
-
-@dataclass(frozen=True)
 class MetricTensor2:
     """Symmetric 2x2 metric; g21 = g12 is implied by storage."""
 
@@ -136,6 +115,8 @@ class MetricTensor2:
         return np.array([self.g11, self.g12, self.g22])
 
 
+# F(lambda) = -log Z; a field raises DomainError at points outside its domain
+FreeEnergyField = Callable[[LagrangeCoords], float]
 MetricField = Callable[[LagrangeCoords], MetricTensor2]
 
 
@@ -146,14 +127,6 @@ def _steps(at: LagrangeCoords, step: float | None, default: float) -> tuple[floa
     if step is not None:
         return base, base
     return base * max(1.0, abs(at.lambda1)), base * max(1.0, abs(at.lambda2))
-
-
-def _field_eval(F: FreeEnergyField, at: LagrangeCoords) -> float:
-    if not F.contains(at):
-        raise DomainError(
-            f"stencil point (lambda1={at.lambda1:g}, lambda2={at.lambda2:g}, "
-            f"xi={at.xi:g}) exits the field domain")
-    return F(at)
 
 
 def _along(at: LagrangeCoords, axis: int, s: float) -> LagrangeCoords:
@@ -192,16 +165,15 @@ def hessian_metric(F: FreeEnergyField, at: LagrangeCoords,
     result (det g <= 0) triggers a :class:`ConditioningWarning`.
     """
     h1, h2 = _steps(at, step, HESS_STEP)
-    f0 = _field_eval(F, at)
+    f0 = F(at)
 
     def cross(s: float, t: float) -> float:
-        return _field_eval(F, at.shifted(s, t))
+        return F(at.shifted(s, t))
 
     def d2_axis(h: float, axis: int) -> float:
         def estimate(c: float) -> float:
             ch = c * h
-            return ((_field_eval(F, _along(at, axis, ch)) - 2.0 * f0
-                     + _field_eval(F, _along(at, axis, -ch))) / (ch * ch))
+            return (F(_along(at, axis, ch)) - 2.0 * f0 + F(_along(at, axis, -ch))) / (ch * ch)
         return _richardson(estimate)
 
     def mixed(c: float) -> float:
@@ -225,13 +197,11 @@ def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
     """
     h1, h2 = _steps(at, step, GRAD_STEP)
 
-    def d1(component: int, axis: int, h: float) -> float:
-        return _d1(lambda c: averages(c)[component], at, axis, h)
+    def pair(c: LagrangeCoords) -> np.ndarray:
+        return np.array(averages(c))
 
-    g11 = -d1(0, 0, h1)
-    g12 = -0.5 * (d1(1, 0, h1) + d1(0, 1, h2))
-    g22 = -d1(1, 1, h2)
-    g = MetricTensor2(g11, g12, g22)
+    (du1, dn1), (du2, dn2) = _d1(pair, at, 0, h1).tolist(), _d1(pair, at, 1, h2).tolist()
+    g = MetricTensor2(-du1, -0.5 * (dn1 + du2), -dn2)
     _warn_if_degenerate(g, "jacobian_metric")
     return g
 
@@ -294,12 +264,8 @@ def legendre_entropy(F: FreeEnergyField, at: LagrangeCoords,
                      step: float | None = None) -> float:
     """Entropy S = lambda^m A_m - F with A_m = dF/dlambda^m by differences."""
     h1, h2 = _steps(at, step, GRAD_STEP)
-    f0 = _field_eval(F, at)
-
-    def field(c: LagrangeCoords) -> float:
-        return _field_eval(F, c)
-
-    return at.lambda1 * _d1(field, at, 0, h1) + at.lambda2 * _d1(field, at, 1, h2) - f0
+    f0 = F(at)
+    return at.lambda1 * _d1(F, at, 0, h1) + at.lambda2 * _d1(F, at, 1, h2) - f0
 
 
 # --------------------------------------------------------------------------
@@ -353,25 +319,29 @@ def _sufficient_statistics(spec: FockEnsembleSpec) -> tuple[np.ndarray, np.ndarr
     return a1, a2
 
 
-def _level_weights(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
-    # q_i = xi * exp(-beta * eps_i), the per-level Boltzmann ratio; Bose
-    # levels must have q_i < 1 or the occupancy cap would matter
-    eps = np.asarray(spec.energies)
-    q = np.exp(-at.lambda1 * eps - at.lambda2)
-    if spec.statistics == "be" and np.any(q >= 1.0):
+def _level_logits(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
+    # log q_i of the per-level Boltzmann ratio q_i = xi * exp(-beta * eps_i)
+    return -at.lambda1 * np.asarray(spec.energies) - at.lambda2
+
+
+def _bose_ratios(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
+    # Bose levels must have q_i < 1 or the occupancy cap would matter;
+    # capping log q_i at 0 keeps exp from overflowing on a rejected level
+    t = _level_logits(spec, at)
+    q = np.exp(np.minimum(t, 0.0))
+    if np.any(q >= 1.0):
         raise DomainError(
             "Bose enumeration needs xi * exp(-beta*eps) < 1 on every level "
-            f"for cap-independence; got max ratio {float(np.max(q)):.6g}")
+            f"for cap-independence; got max log ratio {float(np.max(t)):.6g}")
     return q
 
 
 def _product_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
-    q = _level_weights(spec, at)
-    if len(spec.energies) == 0:
-        return 0.0
-    if spec.statistics == "fd":
-        return float(np.sum(np.log1p(q)))
+    if spec.statistics == "fd":  # log(1 + q_i), never forming a q_i > 1, which can overflow
+        t = _level_logits(spec, at)
+        return float(np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
     # truncated geometric sum per level, matching the enumeration exactly
+    q = _bose_ratios(spec, at)
     cap = spec.be_occupancy_cap
     return float(np.sum(np.log1p(-q ** (cap + 1)) - np.log1p(-q)))
 
@@ -380,7 +350,7 @@ def fock_be_tail_bound(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     """Bound on |log Z_truncated - log Z_exact| from the occupancy cap."""
     if spec.statistics != "be" or len(spec.energies) == 0:
         return 0.0
-    q = _level_weights(spec, at)
+    q = _bose_ratios(spec, at)
     cap = spec.be_occupancy_cap
     return float(np.sum(q ** (cap + 1) / (1.0 - q)))
 
@@ -402,7 +372,7 @@ def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     product = _product_log_partition(spec, at)
     a1, a2 = _sufficient_statistics(spec)
     enumerated = _logsumexp(-at.lambda1 * a1 - at.lambda2 * a2)
-    if abs(product - enumerated) > 1e-12 * max(1.0, abs(product)):
+    if not math.isfinite(product) or abs(product - enumerated) > 1e-12 * max(1.0, abs(product)):
         raise ArithmeticError(
             f"product form ({product!r}) and enumeration ({enumerated!r}) disagree")
     return product
@@ -410,7 +380,8 @@ def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
 
 def _log_rho(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
     # log probability of every enumerated joint state
-    _level_weights(spec, at)  # rejects Bose levels with q_i >= 1
+    if spec.statistics == "be":
+        _bose_ratios(spec, at)  # rejects Bose levels with q_i >= 1
     a1, a2 = _sufficient_statistics(spec)
     logits = -at.lambda1 * a1 - at.lambda2 * a2
     return logits - _logsumexp(logits)
@@ -439,4 +410,4 @@ def fock_entropy(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
 
 def fock_free_energy_field(spec: FockEnsembleSpec) -> FreeEnergyField:
     """F = -log Z of the ensemble as a differentiable field (product form)."""
-    return FreeEnergyField(lambda at: -_product_log_partition(spec, at))
+    return lambda at: -_product_log_partition(spec, at)

@@ -65,9 +65,6 @@ __all__ = [
     "ground_state_occupation",
     "ground_state_free_energy",
     "metric",
-    "metric_fd",
-    "metric_be",
-    "metric_classical",
     "det_bundle",
     "geometry_sample",
     "limit_coefficients",
@@ -273,27 +270,6 @@ def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
     return MetricTensor2(_term(model, p, 3.0, 2.0), _term(model, p, 2.0, 1.0), g22)
 
 
-def metric_fd(model: GasModel, p: ThermoPoint) -> MetricTensor2:
-    """Fermi-Dirac metric; all entries positive since Li(-xi, .) < 0."""
-    if model.statistics != FERMI_DIRAC:
-        raise DomainError("metric_fd needs Fermi-Dirac statistics")
-    return metric(model, p)
-
-
-def metric_be(model: GasModel, p: ThermoPoint) -> MetricTensor2:
-    """Bose-Einstein metric; only g22 feels the ground state."""
-    if model.statistics not in _BOSONIC:
-        raise DomainError("metric_be needs Bose-Einstein statistics")
-    return metric(model, p)
-
-
-def metric_classical(model: GasModel, p: ThermoPoint) -> MetricTensor2:
-    """Classical ideal gas metric, the xi -> 0 envelope of both branches."""
-    if model.statistics != CLASSICAL_IDEAL:
-        raise DomainError("metric_classical needs classical statistics")
-    return metric(model, p)
-
-
 # --------------------------------------------------------------------------
 # determinant bundles and curvature
 # --------------------------------------------------------------------------
@@ -335,7 +311,12 @@ def det_bundle(x: float, eta: float) -> DeterminantBundle:
     l_2 = polylog(x, eta + 2.0)
 
     a = g1 * g2 * ((eta + 2.0) * l_0 * l_2 - (eta + 1.0) * l_1 * l_1)
-    b = g1 * g2 * g3 * (l_0 * (2.0 * l_0 * l_2 - l_1 * l_1) - l_m1 * l_1 * l_2)
+    core = l_0 * (2.0 * l_0 * l_2 - l_1 * l_1) - l_m1 * l_1 * l_2
+    terms = abs(l_0) * (2.0 * abs(l_0 * l_2) + l_1 * l_1) + abs(l_m1 * l_1 * l_2)
+    if terms > 1e-8 * 2.0**52 * abs(core):  # 2^-52 terms / |core| estimates B's relative error
+        warnings.warn(f"det_bundle: B at x = {x!r}, eta = {eta!r} keeps fewer than 8 digits "
+                      "after cancellation", ConditioningWarning, stacklevel=2)
+    b = g1 * g2 * g3 * core
     if 0.0 < x < 1.0:
         gs1, gs2 = _ground_terms(x)
         b_c = (eta + 2.0) * g2 * g2 * (
@@ -507,14 +488,8 @@ def dos_catalog(system: str, dims: int = 3) -> DensityOfStatesEntry:
 # --------------------------------------------------------------------------
 
 def free_energy_field(model: GasModel) -> FreeEnergyField:
-    """The model's free energy as a differentiable field over coordinates."""
-    xi_hi = 1.0 if model.statistics in _BOSONIC else math.inf
-
-    def evaluator(at: LagrangeCoords) -> float:
-        return free_energy(model, ThermoPoint.from_coords(at))
-
-    return FreeEnergyField(evaluator, beta_range=(0.0, math.inf),
-                           xi_range=(0.0, xi_hi))
+    """The model's free energy as a field; DomainError outside the model's domain."""
+    return lambda at: free_energy(model, ThermoPoint.from_coords(at))
 
 
 def metric_field(model: GasModel) -> Callable[[LagrangeCoords], MetricTensor2]:

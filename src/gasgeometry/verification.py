@@ -202,16 +202,15 @@ def suite_classical_flatness() -> SuiteResult:
     return _result("classical flatness", tol, worst)
 
 
-def suite_fd_negativity(
-        sample: Callable[[GasModel, ThermoPoint], "quantum_gas.GeometrySample"] = quantum_gas.geometry_sample,
-) -> SuiteResult:
+def suite_fd_negativity() -> SuiteResult:
     """R < 0 on the full Fermi grid (eta in {1/2, 2}, beta and xi sweeps)."""
     worst = -math.inf
     for eta in (0.5, 2.0):
         model = GasModel(quantum_gas.FERMI_DIRAC, eta=eta, kappa=1.0)
         for beta in np.geomspace(0.1, 10.0, 20):
             for xi in np.linspace(0.1, 5.0, 50):
-                worst = max(worst, sample(model, ThermoPoint(float(beta), float(xi))).R)
+                p = ThermoPoint(float(beta), float(xi))
+                worst = max(worst, quantum_gas.geometry_sample(model, p).R)
     # pass iff strictly negative everywhere; deviation is the worst (largest) R
     return SuiteResult("fermi curvature negativity", 0.0, worst, worst < 0.0,
                        f"max R over grid = {worst:.6e}")

@@ -2,7 +2,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,20 @@ def test_sweep_malformed_config_is_domain_error(cfg, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_sweep_into_a_closed_pipe_exits_141_quietly():
+    # 10,000 rows overfill a 64 KiB pipe, so a write meets the closed pipe
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gasgeometry.cli", "sweep", "--stat", "fd",
+         "--beta-grid", "0.5:2:100", "--xi-grid", "0.1:4:100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline().startswith(b"beta,xi,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_sweep_missing_grid_is_domain_error(capsys):
     code, _, err = run(capsys, "sweep", "--stat", "fd", "--beta-grid", "1:2:2")
     assert code == 2
@@ -281,13 +299,15 @@ def test_verify_full_includes_condensation_edge(capsys):
     assert "FAIL" not in out
 
 
-def test_negativity_suite_catches_injected_sign_flip():
+def test_negativity_suite_catches_injected_sign_flip(monkeypatch):
+    sample = qg.geometry_sample
+
     def flipped(model, point):
-        s = qg.geometry_sample(model, point)
+        s = sample(model, point)
         return replace(s, R=-s.R)
 
-    result = verification.suite_fd_negativity(sample=flipped)
-    assert not result.passed
+    monkeypatch.setattr(qg, "geometry_sample", flipped)
+    assert not verification.suite_fd_negativity().passed
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -7,6 +7,7 @@ convention, independent of everything gas-related.
 """
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ import gasgeometry.gibbs_core as gc
 from gasgeometry import quantum_gas as qg
 from gasgeometry.errors import (ConditioningWarning, DomainError,
                                 EnumerationLimitError, SingularMetricError)
-from gasgeometry.gibbs_core import (FockEnsembleSpec, FreeEnergyField,
-                                    LagrangeCoords, MetricTensor2)
+from gasgeometry.gibbs_core import FockEnsembleSpec, LagrangeCoords, MetricTensor2
 
 GAMMA_32 = 0.8862269254527580137
 GAMMA_52 = 1.3293403881791370205
@@ -34,13 +34,6 @@ def test_lagrange_coords_validation_and_fugacity():
         LagrangeCoords(0.0, 1.0)
     with pytest.raises(DomainError):
         LagrangeCoords(-1.0, 1.0)
-
-
-def test_free_energy_field_domain_box():
-    field = FreeEnergyField(lambda c: 0.0, beta_range=(0.5, 2.0), xi_range=(0.0, 1.0))
-    assert field.contains(LagrangeCoords(1.0, 0.5))
-    assert not field.contains(LagrangeCoords(3.0, 0.5))
-    assert not field.contains(LagrangeCoords(1.0, -0.5))  # xi > 1
 
 
 _FD = qg.GasModel("fd", eta=0.5, kappa=1.0)
@@ -69,7 +62,9 @@ def test_fugacity_past_the_double_range_is_a_domain_error(entry):
 # ---------------------------------------------------------------------------
 
 def test_hessian_of_bilinear_form_is_degenerate():
-    field = FreeEnergyField(lambda c: -(c.lambda1 * c.lambda2))
+    def field(c):
+        return -(c.lambda1 * c.lambda2)
+
     with pytest.warns(ConditioningWarning):
         g = gc.hessian_metric(field, LagrangeCoords(1.3, 0.4))
     assert g.g11 == pytest.approx(0.0, abs=1e-8)
@@ -91,15 +86,18 @@ def test_hessian_matches_fd_closed_form():
     model = qg.GasModel("fd", eta=0.5, kappa=1.0)
     p = qg.ThermoPoint(1.0, 0.5)
     g = gc.hessian_metric(qg.free_energy_field(model), p.to_coords())
-    closed = qg.metric_fd(model, p)
+    closed = qg.metric(model, p)
     for a, b in zip(g.entries(), closed.entries()):
         assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_hessian_stencil_domain_error():
-    field = FreeEnergyField(lambda c: 0.0, beta_range=(0.999, 1.001))
+    # the centre is a valid Bose point, but the lambda2 stencil reaches xi > 1
+    field = qg.free_energy_field(qg.GasModel("be", eta=0.5, kappa=1.0))
+    at = qg.ThermoPoint(1.0, 1.0 - 1e-4).to_coords()
+    field(at)
     with pytest.raises(DomainError):
-        gc.hessian_metric(field, LagrangeCoords(1.0, 0.0))
+        gc.hessian_metric(field, at)
 
 
 def test_jacobian_metric_matches_hessian_for_gradient_pair():
@@ -140,7 +138,9 @@ def test_stencils_are_exact_on_a_quartic_field():
     x, y = 1.0, 0.5
     at = LagrangeCoords(x, y)
     # F = -Q, so g = Hess Q is positive definite and A = dF/dlambda = -grad Q
-    field = FreeEnergyField(lambda c: -quartic(c.lambda1, c.lambda2))
+    def field(c):
+        return -quartic(c.lambda1, c.lambda2)
+
     grad = quartic_gradient(x, y)
     hess = quartic_hessian(x, y)
 
@@ -225,10 +225,8 @@ def test_trinomial_sphere_curvature():
     def F(c):
         return -math.log(1.0 + math.exp(-c.lambda1) + math.exp(-c.lambda2))
 
-    field = FreeEnergyField(F)
-
     def gfield(c):
-        return gc.hessian_metric(field, c, step=1e-3)
+        return gc.hessian_metric(F, c, step=1e-3)
 
     for at in (LagrangeCoords(0.3, -0.2), LagrangeCoords(1.0, 0.5)):
         assert gc.scalar_curvature_det(gfield, at, step=2e-2) == pytest.approx(0.5, rel=2e-4)
@@ -317,6 +315,20 @@ def test_single_level_log_partition():
     spec = FockEnsembleSpec((1.0,), "fd")
     got = gc.fock_log_partition(spec, LagrangeCoords(1.0, 1e-13))
     assert got == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-12)
+
+
+def test_fermi_product_past_the_double_range_stays_finite():
+    # xi = exp(800) overflows q_i, but not log(1 + q_i); every level is full
+    spec = FockEnsembleSpec((1.0, 2.0), "fd")
+    at = LagrangeCoords(1.0, -800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert gc.fock_log_partition(spec, at) == pytest.approx(1597.0, rel=1e-12)
+        with pytest.warns(ConditioningWarning):
+            g = gc.hessian_metric(gc.fock_free_energy_field(spec), at)
+        with pytest.raises(DomainError):  # a Bose level there has q_i > 1
+            gc.fock_log_partition(FockEnsembleSpec((1.0, 2.0), "be"), at)
+    assert np.all(np.isfinite(g.entries()))
 
 
 def test_be_truncated_vs_closed_form():

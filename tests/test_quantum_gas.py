@@ -5,6 +5,7 @@ energy integrals (scipy, no polylog involved), finite-difference
 Hessians/Jacobians from the geometry engine, and frozen mpmath values.
 """
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 
 import mpmath as mp
@@ -186,11 +187,11 @@ def test_ground_state_occupation_values():
 
 def test_metric_fd_first_term_and_positivity():
     model = qg.GasModel("fd", eta=0.5, kappa=1.0)
-    g = qg.metric_fd(model, qg.ThermoPoint(1.0, 1e-6))
+    g = qg.metric(model, qg.ThermoPoint(1.0, 1e-6))
     assert g.g22 == pytest.approx(GAMMA_32 * 1e-6, rel=1e-5)
     assert g.g22 == pytest.approx(8.8623e-7, rel=1e-3)
     for xi in (0.1, 0.5, 2.0, 5.0):
-        g = qg.metric_fd(model, qg.ThermoPoint(0.7, xi))
+        g = qg.metric(model, qg.ThermoPoint(0.7, xi))
         assert g.g11 > 0.0 and g.g12 > 0.0 and g.g22 > 0.0
         assert g.g12**2 < g.g11 * g.g22
 
@@ -198,7 +199,7 @@ def test_metric_fd_first_term_and_positivity():
 def test_metric_fd_matches_hessian_oracle():
     model = qg.GasModel("fd", eta=0.5, kappa=1.0)
     p = qg.ThermoPoint(1.0, 0.5)
-    closed = qg.metric_fd(model, p)
+    closed = qg.metric(model, p)
     oracle = gc.hessian_metric(qg.free_energy_field(model), p.to_coords())
     for a, b in zip(closed.entries(), oracle.entries()):
         assert a == pytest.approx(b, rel=1e-6)
@@ -207,8 +208,8 @@ def test_metric_fd_matches_hessian_oracle():
 def test_metric_be_ground_state_structure():
     p = qg.ThermoPoint(1.3, 0.5)
     for eta, kappa in ((0.5, 1.0), (2.0, 3.0)):
-        with_g = qg.metric_be(qg.GasModel("be", eta=eta, kappa=kappa), p)
-        without = qg.metric_be(qg.GasModel("be0", eta=eta, kappa=kappa), p)
+        with_g = qg.metric(qg.GasModel("be", eta=eta, kappa=kappa), p)
+        without = qg.metric(qg.GasModel("be0", eta=eta, kappa=kappa), p)
         assert with_g.g11 == without.g11
         assert with_g.g12 == without.g12
         assert with_g.g22 - without.g22 == pytest.approx(2.0, rel=1e-14)  # 0.5/0.25
@@ -217,7 +218,7 @@ def test_metric_be_ground_state_structure():
 def test_metric_be_matches_jacobian_oracle():
     model = qg.GasModel("be", eta=2.0, kappa=1.0)
     p = qg.ThermoPoint(1.0, 0.9)
-    closed = qg.metric_be(model, p)
+    closed = qg.metric(model, p)
 
     def avg(c):
         return qg.averages(model, qg.ThermoPoint.from_coords(c))
@@ -235,22 +236,10 @@ def test_metric_be_equals_hessian_of_corrected_potential():
         tp = qg.ThermoPoint.from_coords(c)
         return qg.free_energy(model, tp) + qg.ground_state_free_energy(tp)
 
-    oracle = gc.hessian_metric(gc.FreeEnergyField(corrected, xi_range=(0.0, 1.0)),
-                               p.to_coords())
-    closed = qg.metric_be(model, p)
+    oracle = gc.hessian_metric(corrected, p.to_coords())
+    closed = qg.metric(model, p)
     for a, b in zip(closed.entries(), oracle.entries()):
         assert a == pytest.approx(b, rel=1e-6)
-
-
-def test_metric_dispatch_and_statistics_guards():
-    p = qg.ThermoPoint(1.0, 0.5)
-    assert qg.metric(qg.GasModel("fd"), p) == qg.metric_fd(qg.GasModel("fd"), p)
-    with pytest.raises(DomainError):
-        qg.metric_fd(qg.GasModel("be"), p)
-    with pytest.raises(DomainError):
-        qg.metric_be(qg.GasModel("fd"), p)
-    with pytest.raises(DomainError):
-        qg.metric_classical(qg.GasModel("fd"), p)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +319,23 @@ def test_det_bundle_ground_terms_only_inside_unit_interval():
         qg.det_bundle(1.0, 0.5)
     with pytest.raises(DomainError):
         qg.det_bundle(0.5, -1.0)
+
+
+@pytest.mark.parametrize("stat", ["fd", "be", "be0"])
+def test_cancellation_in_b_warns_at_tiny_fugacity(stat):
+    # B ~ x^4 is what survives of x^3 terms; at xi = 1e-16 R has the wrong sign
+    model = qg.GasModel(stat, eta=0.5, kappa=1.0)
+    for xi in (1e-12, 1e-16):
+        with pytest.warns(ConditioningWarning, match="det_bundle"):
+            qg.geometry_sample(model, qg.ThermoPoint(1.0, xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        qg.geometry_sample(model, qg.ThermoPoint(1.0, 1e-4))
+
+
+def test_cancellation_in_b_warns_at_large_eta():
+    with pytest.warns(ConditioningWarning, match="det_bundle"):
+        qg.det_bundle(-1.0, 50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +523,6 @@ _LADDER_XI = {
     "be0": (0.01, 0.4, 0.9, 0.999),
     "classical": (0.01, 0.4, 3.0, 50.0),
 }
-_SPECIFIC_METRIC = {"fd": qg.metric_fd, "be": qg.metric_be, "be0": qg.metric_be,
-                    "classical": qg.metric_classical}
 
 
 @pytest.mark.filterwarnings("ignore", category=ConditioningWarning)
@@ -535,7 +539,6 @@ def test_ladder_reproduces_handwritten_formulas_bit_for_bit(stat):
                     assert qg.averages(model, p) == _handwritten_averages(model, p), where
                     g = tuple(_handwritten_metric(model, p))
                     assert tuple(qg.metric(model, p).entries()) == g, where
-                    assert tuple(_SPECIFIC_METRIC[stat](model, p).entries()) == g, where
                     s = qg.geometry_sample(model, p)
                     assert tuple(s.metric.entries()) == g, where
                     assert (s.g_bar, s.R, s.R_bar) == _handwritten_geometry(model, p), where

@@ -9,6 +9,7 @@ import), and ``run_suites("full")`` leaves ``numpy.random`` unloaded (its
 import would dominate the cheapest suite).
 """
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -59,6 +60,14 @@ def test_module_level_imports_and_private_names_are_used(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _checked_bindings(tree)
               if name not in loaded]
     assert not unused, f"defined or imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    name = "gasgeometry" if path.stem == "__init__" else f"gasgeometry.{path.stem}"
+    module = importlib.import_module(name)
+    stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not stale, f"{name}.__all__ lists unbound names: {stale}"
 
 
 def _fresh_modules(code):
