@@ -28,9 +28,8 @@ from .quantum_gas import (BOSE_EINSTEIN, BOSE_EINSTEIN_NO_GROUND,
                           GeometrySample, LimitCoefficients, ThermoPoint,
                           averages, det_bundle, dos_catalog, free_energy,
                           free_energy_field, geometry_sample,
-                          ground_state_free_energy, ground_state_occupation,
-                          limit_coefficients, limit_curvature, metric,
-                          metric_field)
+                          ground_state_occupation, limit_coefficients,
+                          limit_curvature, metric, metric_field)
 from .special_functions import (gamma_real, polylog, polylog_quadrature,
                                 polylog_series, polylog_step_down, zeta_real)
 
@@ -48,9 +47,8 @@ __all__ = [
     "DensityOfStatesEntry", "DeterminantBundle", "GasModel", "GeometrySample",
     "LimitCoefficients", "ThermoPoint",
     "averages", "det_bundle", "dos_catalog", "free_energy",
-    "free_energy_field", "geometry_sample", "ground_state_free_energy",
-    "ground_state_occupation", "limit_coefficients", "limit_curvature",
-    "metric", "metric_field",
+    "free_energy_field", "geometry_sample", "ground_state_occupation",
+    "limit_coefficients", "limit_curvature", "metric", "metric_field",
     "gamma_real", "polylog", "polylog_quadrature", "polylog_series",
     "polylog_step_down", "zeta_real",
     "__version__",

@@ -20,10 +20,10 @@ xi for the classical gas, so that L > 0 for every statistics:
     F = -T(1, 2)    U = T(2, 2)    N = T(1, 1)
     g = (g11, g12, g22) = (T(3, 2), T(2, 1), T(1, 0))
 
-The Bose branch optionally carries the ground-state correction
-N0 = xi/(1-xi), which enters the particle number and (through
-g22 += xi/(1-xi)^2) the metric; it removes the curvature singularity at
-the condensation edge xi -> 1.
+The Bose branch optionally carries the ground state, whose level at zero
+energy adds log(1-xi) to F, N0 = xi/(1-xi) to the particle number and
+xi/(1-xi)^2 to g22; it removes the curvature singularity at the
+condensation edge xi -> 1.
 
 Metric determinants and scalar curvatures are assembled from the unitless
 determinant bundles A, B (and their ground-state companions A_c, B_c):
@@ -63,7 +63,6 @@ __all__ = [
     "free_energy",
     "averages",
     "ground_state_occupation",
-    "ground_state_free_energy",
     "metric",
     "det_bundle",
     "geometry_sample",
@@ -213,9 +212,16 @@ def _term(model: GasModel, p: ThermoPoint, k: float, j: float) -> float:
 
 
 def free_energy(model: GasModel, p: ThermoPoint) -> float:
-    """Grand canonical free energy F = -log Z per the closed forms above."""
+    """Grand canonical free energy F = -log Z per the closed forms above.
+
+    With the Bose ground state F includes log(1-xi), so that grad F = (U, N)
+    and -Hess F = g hold for every statistics.
+    """
     _require_point(model, p)
-    return -_term(model, p, 1.0, 2.0)
+    f = -_term(model, p, 1.0, 2.0)
+    if model.statistics == BOSE_EINSTEIN:
+        f += math.log1p(-p.xi)
+    return f
 
 
 def averages(model: GasModel, p: ThermoPoint) -> tuple[float, float]:
@@ -238,19 +244,6 @@ def ground_state_occupation(p: ThermoPoint) -> float:
     if p.xi >= 1.0:
         raise DomainError(f"ground-state occupation needs xi < 1, got {p.xi}")
     return p.xi / (1.0 - p.xi)
-
-
-def ground_state_free_energy(p: ThermoPoint) -> float:
-    """Free-energy term log(1-xi) implied by the ground-state correction.
-
-    Adding it to the continuous Bose free energy makes dF/dlambda^2
-    reproduce the corrected particle number, and its Hessian the
-    xi/(1-xi)^2 increment of g22.  Diagnostic only; the published metric
-    is defined through the averages, not through this potential.
-    """
-    if p.xi >= 1.0:
-        raise DomainError(f"ground-state term needs xi < 1, got {p.xi}")
-    return math.log1p(-p.xi)
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +318,21 @@ def det_bundle(x: float, eta: float) -> DeterminantBundle:
     return DeterminantBundle(a, b, None, None)
 
 
+def _curvature(bundle: DeterminantBundle, t: float, statistics: str) -> tuple[float, float, float]:
+    # (g_bar, R_bar, R) with g_bar = A (+ t A_c with the ground state) and
+    # R_bar = b/g_bar^2 for b = B (+ t B_c); formed from the ratios b/g_bar
+    # and t/g_bar, which stay finite where g_bar^2 overflows at large t
+    g_bar, b = bundle.A, bundle.B
+    if statistics == BOSE_EINSTEIN:
+        g_bar = bundle.A + t * bundle.A_c
+        b = bundle.B + t * bundle.B_c
+    if g_bar * g_bar == 0.0:
+        raise SingularMetricError(f"determinant factor {g_bar} underflows")
+    ratio = b / g_bar
+    sign = 0.5 if statistics == FERMI_DIRAC else -0.5
+    return g_bar, ratio / g_bar, sign * (t / g_bar) * ratio
+
+
 def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
     """Metric, determinant, dimensionless factors and curvature at a point.
 
@@ -343,17 +351,9 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
         g_bar = p.xi * p.xi * limit_coefficients(eta).f
         r = r_bar = 0.0
     else:
-        fermi = model.statistics == FERMI_DIRAC
-        bundle = det_bundle(-p.xi if fermi else p.xi, eta)
-        g_bar, b = bundle.A, bundle.B
-        if model.statistics == BOSE_EINSTEIN:
-            g_bar = bundle.A + t * bundle.A_c
-            b = bundle.B + t * bundle.B_c
-        if g_bar * g_bar == 0.0:
-            raise SingularMetricError(f"geometry_sample: determinant factor {g_bar} underflows")
-        r_bar = b / (g_bar * g_bar)
-        r = (0.5 if fermi else -0.5) * t * r_bar
-    det_g = scale * scale * g_bar
+        x = -p.xi if model.statistics == FERMI_DIRAC else p.xi
+        g_bar, r_bar, r = _curvature(det_bundle(x, eta), t, model.statistics)
+    det_g = scale * (scale * g_bar)
     if not (math.isfinite(det_g) and math.isfinite(r)):
         raise DomainError(f"geometry_sample: det g = {det_g} or R = {r} leaves the float range")
     if g_bar <= 0.0 or det_g < 1e-12 * (abs(g.g11 * g.g22) + g.g12 * g.g12):
@@ -413,11 +413,7 @@ def limit_curvature(model: GasModel, beta: float) -> float:
         t = math.inf
     if t == 0.0:
         return 0.0  # classical limit beta -> 0
-    if model.statistics == FERMI_DIRAC:
-        out = 0.5 * t * c.h / (c.f * c.f)
-    else:  # each ratio stays finite where t^2 overflows
-        denom = c.f + c.f_c * t
-        out = -0.5 * (t / denom) * ((c.h + c.h_c * t) / denom)
+    out = _curvature(DeterminantBundle(c.f, c.h, c.f_c, c.h_c), t, model.statistics)[2]
     if not math.isfinite(out):
         raise DomainError(f"the low-fugacity limit leaves the float range at beta = {beta!r}")
     return out

@@ -48,9 +48,40 @@ def _rel(a: float, b: float) -> float:
 
 
 def suite_polylog_identities(full: bool = False) -> SuiteResult:
-    """Closed forms, the order-lowering identity and series vs quadrature."""
+    """Closed forms, the order-lowering identity and series vs quadrature.
+
+    The full level checks instead the condensation edge and the Fermi rule
+    at y < -1, each against identities that tie it to another regime.
+    """
     tol = 1e-6
     worst = 0.0
+    if full:
+        # condensation edge against the step-down route
+        for phi in (1.5, 2.0, 2.5, 3.0, 4.0):
+            y = 1.0 - 1e-6
+            worst = max(worst, _rel(polylog(y, phi - 1.0), polylog_step_down(y, phi)))
+        # Euler's reflection ties order 2 at the edge to the series regime
+        for y in (1.0 - 1e-6, 1.0 - 1e-8):
+            x = 1.0 - y  # exact, so x and y sum to one
+            worst = max(worst, _rel(polylog(y, 2.0) + polylog(x, 2.0),
+                                    math.pi**2 / 6.0 - math.log(y) * math.log(x)))
+        # Lewin's inversion formulas tie the Fermi rule at -x to the series at -1/x
+        for x in (4.0, 1e2, 1e4, 1e8):
+            ln, pi2 = math.log(x), math.pi**2
+            worst = max(worst,
+                        _rel(polylog(-x, 2.0) + polylog(-1.0 / x, 2.0), -pi2 / 6.0 - ln**2 / 2.0),
+                        _rel(polylog(-x, 3.0) - polylog(-1.0 / x, 3.0), -pi2 * ln / 6.0 - ln**3 / 6.0),
+                        _rel(polylog(-x, 4.0) + polylog(-1.0 / x, 4.0),
+                             -7.0 * pi2**2 / 360.0 - pi2 * ln**2 / 12.0 - ln**4 / 24.0))
+        # duplication Li(y) + Li(-y) = 2^(1-phi) Li(y^2) ties the edge regime
+        # to the Fermi rule; y = 1 - 2^-k keeps y^2 exact
+        for k in (10, 14, 20):
+            y = 1.0 - 2.0**-k
+            for phi in (0.3, 0.7, 1.5, 2.5, 3.3, 4.5):
+                worst = max(worst, _rel(polylog(y, phi) + polylog(-y, phi),
+                                        2.0 ** (1.0 - phi) * polylog(y * y, phi)))
+        return _result("polylog identities", tol, worst,
+                       "edge step-down, Euler's reflection, Lewin's inversion and duplication")
     # closed forms at integer orders
     for y in (-3.0, -0.9, -0.3, 0.3, 0.5, 0.9, 0.99):
         worst = max(worst, _rel(polylog(y, 1.0), -math.log1p(-y)))
@@ -70,19 +101,7 @@ def suite_polylog_identities(full: bool = False) -> SuiteResult:
     for y in grid_y:
         for phi in grid_phi:
             worst = max(worst, _rel(polylog_series(y, phi), polylog_quadrature(y, phi)))
-    extra = ""
-    if full:
-        # condensation edge against the step-down route
-        for phi in (1.5, 2.0, 2.5, 3.0, 4.0):
-            y = 1.0 - 1e-6
-            worst = max(worst, _rel(polylog(y, phi - 1.0), polylog_step_down(y, phi)))
-        # Euler's reflection ties order 2 at the edge to the series regime
-        for y in (1.0 - 1e-6, 1.0 - 1e-8):
-            x = 1.0 - y  # exact, so x and y sum to one
-            worst = max(worst, _rel(polylog(y, 2.0) + polylog(x, 2.0),
-                                    math.pi**2 / 6.0 - math.log(y) * math.log(x)))
-        extra = "including xi = 1 - 1e-6 edge checks and Euler's reflection"
-    return _result("polylog identities", tol, worst, extra)
+    return _result("polylog identities", tol, worst)
 
 
 def _fock_fixtures() -> Iterable[FockEnsembleSpec]:

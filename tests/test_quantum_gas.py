@@ -85,7 +85,7 @@ def test_free_energy_small_fugacity_leading_term():
 
 
 def test_free_energy_bose_frozen_value_and_quadrature():
-    model = qg.GasModel("be", eta=0.5, kappa=1.0)
+    model = qg.GasModel("be0", eta=0.5, kappa=1.0)
     p = qg.ThermoPoint(1.0, 0.5)
     f = qg.free_energy(model, p)
     assert f == pytest.approx(-0.4918535319524683288, rel=1e-10)  # -Gamma(3/2) Li(0.5, 5/2)
@@ -96,6 +96,9 @@ def test_free_energy_bose_frozen_value_and_quadrature():
 
     val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)
     assert f == pytest.approx(val, rel=1e-10)
+    # the ground level at zero energy adds its own log(1 - xi)
+    ground = qg.GasModel("be", eta=0.5, kappa=1.0)
+    assert qg.free_energy(ground, p) == f + math.log1p(-p.xi)
 
 
 def test_free_energy_classical_value():
@@ -105,7 +108,7 @@ def test_free_energy_classical_value():
     assert f == pytest.approx(-0.886227, abs=1e-6)
 
 
-@pytest.mark.parametrize("stat", ["fd", "be0", "classical"])
+@pytest.mark.parametrize("stat", sorted(qg.STATISTICS))
 def test_free_energy_gradient_reproduces_averages(stat):
     # dF/dlambda^mu must equal (U, N); pins the coefficient of F
     model = qg.GasModel(stat, eta=0.5, kappa=1.0)
@@ -122,22 +125,6 @@ def test_free_energy_gradient_reproduces_averages(stat):
     u, n = qg.averages(model, p)
     assert d(0) == pytest.approx(u, rel=1e-8)
     assert d(1) == pytest.approx(n, rel=1e-8)
-
-
-def test_ground_state_potential_completes_bose_gradient():
-    # with the log(1 - xi) term added, dF/dlambda^2 gains exactly N0
-    model = qg.GasModel("be", eta=0.5, kappa=1.0)
-    p = qg.ThermoPoint(1.1, 0.6)
-    at = p.to_coords()
-    h = 1e-5
-
-    def corrected(c):
-        tp = qg.ThermoPoint.from_coords(c)
-        return qg.free_energy(model, tp) + qg.ground_state_free_energy(tp)
-
-    grad2 = (corrected(at.shifted(0.0, h)) - corrected(at.shifted(0.0, -h))) / (2 * h)
-    _, n = qg.averages(model, p)
-    assert grad2 == pytest.approx(n, rel=1e-8)
 
 
 def test_averages_small_fugacity_and_fd_quadrature():
@@ -231,12 +218,7 @@ def test_metric_be_matches_jacobian_oracle():
 def test_metric_be_equals_hessian_of_corrected_potential():
     model = qg.GasModel("be", eta=2.0, kappa=1.0)
     p = qg.ThermoPoint(1.0, 0.9)
-
-    def corrected(c):
-        tp = qg.ThermoPoint.from_coords(c)
-        return qg.free_energy(model, tp) + qg.ground_state_free_energy(tp)
-
-    oracle = gc.hessian_metric(corrected, p.to_coords())
+    oracle = gc.hessian_metric(qg.free_energy_field(model), p.to_coords())
     closed = qg.metric(model, p)
     for a, b in zip(closed.entries(), oracle.entries()):
         assert a == pytest.approx(b, rel=1e-6)
@@ -415,14 +397,37 @@ def test_condensation_edge_divergence_removed():
     assert abs(r) < 1e-2
 
 
+# Bose points with the ground state where (A + t A_c)^2 overflows; R, R_bar
+# and det_g from perfbench/reference.py's formulas at 400 digits
+LARGE_T_POINTS = [
+    (20.0, 1e8, 0.02272724291679322, -4.5454485833586434e-170, 1.1240008617778984e-163),
+    (10.0, 1e15, 0.041635647762389386, -8.327129552477878e-167, 4.790603009054483e-187),
+    (5.0, 1e30, 0.07031494649011524, -1.4062989298023045e-181, 5.060306798313061e-237),
+]
+
+
 def test_geometry_sample_det_consistent_with_metric():
-    for stat, xi in (("fd", 1.2), ("be", 0.8), ("be0", 0.8)):
-        model = qg.GasModel(stat, eta=0.5, kappa=2.0)
-        s = qg.geometry_sample(model, qg.ThermoPoint(0.9, xi))
-        assert s.det_g == pytest.approx(s.metric.det, rel=1e-11)
+    points = [("fd", 0.5, 2.0, 0.9, 1.2), ("be", 0.5, 2.0, 0.9, 0.8), ("be0", 0.5, 2.0, 0.9, 0.8)]
+    points += [("be", eta, 1.0, beta, 0.5) for eta, beta, *_ in LARGE_T_POINTS]
+    for stat, eta, kappa, beta, xi in points:
+        model = qg.GasModel(stat, eta=eta, kappa=kappa)
+        s = qg.geometry_sample(model, qg.ThermoPoint(beta, xi))
+        assert s.det_g == pytest.approx(s.metric.det, rel=1e-11, abs=0.0), (stat, eta)
         t = s.point.beta ** (model.eta + 1.0) / model.kappa
         sign = 1.0 if stat == "fd" else -1.0
-        assert s.R == pytest.approx(sign * 0.5 * t * s.R_bar, rel=1e-14)
+        assert s.R == pytest.approx(sign * 0.5 * t * s.R_bar, rel=1e-14), (stat, eta)
+
+
+@pytest.mark.parametrize("eta, beta, r, r_bar, det_g", LARGE_T_POINTS)
+def test_ground_state_curvature_survives_overflow_of_g_bar_squared(eta, beta, r, r_bar, det_g):
+    model = qg.GasModel("be", eta=eta, kappa=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        s = qg.geometry_sample(model, qg.ThermoPoint(beta, 0.5))
+        bundle = qg.det_bundle(0.5, eta)
+    assert (s.R, s.R_bar, s.det_g) == pytest.approx((r, r_bar, det_g), rel=1e-12, abs=0.0)
+    # at this t the curvature has reached its t -> infinity limit
+    assert s.R == pytest.approx(-bundle.B_c / (2.0 * bundle.A_c**2), rel=1e-12)
 
 
 def test_rbar_scaling_laws():
@@ -459,7 +464,9 @@ def _handwritten_free_energy(model, p):
     pref = kappa * gamma_real(eta + 1.0) / p.beta ** (eta + 1.0)
     if model.statistics == "fd":
         return pref * polylog(-p.xi, eta + 2.0)
-    if model.statistics in ("be", "be0"):
+    if model.statistics == "be":
+        return -pref * polylog(p.xi, eta + 2.0) + math.log1p(-p.xi)
+    if model.statistics == "be0":
         return -pref * polylog(p.xi, eta + 2.0)
     return -pref * p.xi
 
@@ -505,16 +512,14 @@ def _handwritten_geometry(model, p):
         return p.xi * p.xi * qg.limit_coefficients(eta).f, 0.0, 0.0
     if model.statistics == "fd":
         bundle = qg.det_bundle(-p.xi, eta)
-        r_bar = bundle.B / (bundle.A * bundle.A)
-        return bundle.A, 0.5 * t * r_bar, r_bar
+        return bundle.A, 0.5 * (t / bundle.A) * (bundle.B / bundle.A), bundle.B / bundle.A / bundle.A
     bundle = qg.det_bundle(p.xi, eta)
     if model.statistics == "be":
         g_bar = bundle.A + t * bundle.A_c
-        r_bar = (bundle.B + t * bundle.B_c) / (g_bar * g_bar)
+        b = bundle.B + t * bundle.B_c
     else:
-        g_bar = bundle.A
-        r_bar = bundle.B / (bundle.A * bundle.A)
-    return g_bar, -0.5 * t * r_bar, r_bar
+        g_bar, b = bundle.A, bundle.B
+    return g_bar, -0.5 * (t / g_bar) * (b / g_bar), b / g_bar / g_bar
 
 
 _LADDER_XI = {

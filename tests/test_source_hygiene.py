@@ -5,8 +5,9 @@ import, or a module-level private name (a leading underscore), that the
 module itself never loads is dead code left behind by an edit.  The
 import tests run in fresh interpreters: importing the command-line entry
 point loads no scipy module (``scipy.special`` alone took over half of that
-import), and ``run_suites("full")`` leaves ``numpy.random`` unloaded (its
-import would dominate the cheapest suite).
+import), and ``verify --full`` and a figure run with the test-only packages
+blocked and leave ``numpy.random`` unloaded (its import would dominate the
+cheapest suite).
 """
 import ast
 import importlib
@@ -85,8 +86,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
-def test_full_verify_leaves_numpy_random_unloaded():
-    loaded = _fresh_modules("from gasgeometry import verification\n"
-                            "assert all(r.passed for r in verification.run_suites('full'))")
+def test_full_verify_leaves_numpy_random_unloaded(tmp_path):
+    # the runtime needs only numpy: the test-only packages are blocked outright
+    blocked = ("scipy", "mpmath", "hypothesis", "pytest")
+    fig = str(tmp_path / "fig1.csv")
+    loaded = _fresh_modules(
+        "import contextlib, io, sys\n"
+        f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
+        "from gasgeometry import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--full']) == 0\n"
+        f"    assert cli.main(['figure', '1', '--out', {fig!r}]) == 0\n")
     assert "gasgeometry.verification" in loaded
     assert "numpy.random" not in loaded
+    assert Path(fig).stat().st_size > 0
