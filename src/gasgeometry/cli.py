@@ -102,6 +102,9 @@ class SweepSpec:
         bad = self.outputs - set(OUTPUT_CHOICES)
         if bad:
             raise DomainError(f"unknown outputs {sorted(bad)}; choose from {OUTPUT_CHOICES}")
+        for axis, grid in (("beta", self.beta_grid), ("xi", self.xi_grid)):
+            if grid.lo <= 0.0:
+                raise DomainError(f"{axis} grid needs min > 0, got {grid.lo}")
         if self.model.statistics in (quantum_gas.BOSE_EINSTEIN,
                                      quantum_gas.BOSE_EINSTEIN_NO_GROUND):
             if self.xi_grid.hi >= 1.0:

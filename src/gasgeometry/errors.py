@@ -26,6 +26,6 @@ class ConditioningWarning(UserWarning):
     """A result is returned but its conditioning is suspect.
 
     Emitted when a metric determinant is non-positive or vanishes relative
-    to the size of its entries, so downstream curvature values may carry
-    large cancellation error.
+    to the size of its entries, or when ``det_bundle``'s B keeps fewer than
+    8 digits after cancellation; curvature values may then carry large error.
     """

@@ -89,8 +89,8 @@ class GasModel:
 
     eta > -1 keeps Gamma(eta+1)..Gamma(eta+4) finite; kappa > 0 carries
     units of energy^-(eta+1), so kappa^(-1/(eta+1)) is the emergent energy
-    unit of the model.  The classical gas accepts any eta and reduces to
-    the textbook three-dimensional box gas at eta = 1/2.
+    unit of the model.  The classical gas needs eta > -1 as well (for
+    Gamma(eta+1)) and is the textbook three-dimensional box gas at eta = 1/2.
     """
 
     statistics: str

@@ -271,7 +271,8 @@ def suite_condensation_edge() -> SuiteResult:
     blow_up = r0[0] > 1e2 and all(b > a for a, b in zip(r0, r0[1:]))
     # bound frozen from the det_bundle evaluation at xi = 1 - 1e-6 (7.8e-7)
     r_at_edge = quantum_gas.geometry_sample(m1, ThermoPoint(beta, 1.0 - 1e-6)).R
-    converges = abs(r_at_edge) < 1e-5 and all(abs(b) < abs(a) or b == a for a, b in zip(r1, r1[1:]))
+    converges = (abs(r_at_edge) < 1e-5 and abs(r1[-1]) < abs(r1[0])
+                 and all(b < a for a, b in zip(r1, r1[1:])))
     ok = blow_up and converges
     detail = f"R0(1-1.4e-6) = {r0[0]:.4g}, R(1-1e-6) = {r_at_edge:.4g}"
     return SuiteResult("condensation edge", 1e-5, abs(r_at_edge), ok, detail)

@@ -1,8 +1,11 @@
 """Acceptance criteria, one test per criterion.
 
-Each test pins the tolerance stated for it, measures its own runtime
-against the stated budget, and prints a [PASS]/[FAIL] line (visible with
-``pytest -s`` or in the captured output of a failing run).  Run with:
+Each test measures its own runtime against the stated budget and prints a
+[PASS]/[FAIL] line (visible with ``pytest -s`` or in the captured output
+of a failing run).  Where a ``verify`` suite runs a criterion's check, the
+test asserts that suite's result, so each check has one implementation and
+the suite pins its tolerance.  The last test injects a fault into each
+suite's checked quantity and requires the suite to fail.  Run with:
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -10,12 +13,14 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gasgeometry.gibbs_core as gc
 import gasgeometry.quantum_gas as qg
+import gasgeometry.verification as verification
 from gasgeometry.gibbs_core import FockEnsembleSpec, LagrangeCoords
 from gasgeometry.quantum_gas import GasModel, ThermoPoint
 from gasgeometry.special_functions import (polylog, polylog_quadrature,
@@ -40,6 +45,11 @@ def criterion(number: int, label: str, budget_seconds: float):
                 f"criterion {number} exceeded its {budget_seconds}s runtime budget: {elapsed:.2f}s")
 
 
+def assert_passes(result):
+    assert result.passed, (f"{result.name}: deviation {result.max_deviation:.3e}, "
+                           f"tolerance {result.tolerance:.1e} {result.detail}")
+
+
 def test_criterion_1_limit_coefficients():
     with criterion(1, "low-fugacity constants at eta = 1/2", 1.0):
         c = qg.limit_coefficients(0.5)
@@ -58,89 +68,27 @@ def test_criterion_2_fd_low_fugacity_curvature():
 
 def test_criterion_3_classical_flatness():
     with criterion(3, "classical gas flat: closed form 0, numeric < 1e-8", 5.0):
-        model = GasModel("classical", eta=0.5, kappa=1.0)
-        gfield = qg.metric_field(model)
-        for beta in np.geomspace(0.1, 10.0, 10):
-            for xi in np.linspace(0.1, 2.0, 10):
-                p = ThermoPoint(float(beta), float(xi))
-                assert qg.geometry_sample(model, p).R == 0.0
-                assert abs(gc.scalar_curvature_det(gfield, p.to_coords())) < 1e-8
+        assert_passes(verification.suite_classical_flatness())
 
 
 def test_criterion_4_fd_negativity_grid():
     with criterion(4, "R < 0 on the full Fermi grid", 30.0):
-        for eta in (0.5, 2.0):
-            model = GasModel("fd", eta=eta, kappa=1.0)
-            for beta in np.geomspace(0.1, 10.0, 20):
-                for xi in np.linspace(0.1, 5.0, 50):
-                    r = qg.geometry_sample(model, ThermoPoint(float(beta), float(xi))).R
-                    assert r < 0.0, f"R = {r} at eta={eta}, beta={beta}, xi={xi}"
+        assert_passes(verification.suite_fd_negativity())
 
 
 def test_criterion_5_condensation_edge():
     with criterion(5, "ground state removes the condensation divergence", 10.0):
-        m0 = GasModel("be0", eta=0.5, kappa=1.0)
-        m1 = GasModel("be", eta=0.5, kappa=1.0)
-        # no ground state: exceeds 100 before 1 - 1e-6 and keeps growing
-        xis = 1.0 - np.geomspace(1.4e-6, 1e-8, 12)
-        r0 = [qg.geometry_sample(m0, ThermoPoint(1.0, float(x))).R for x in xis]
-        assert xis[0] < 1.0 - 1e-6
-        assert r0[0] > 1e2
-        assert all(b > a for a, b in zip(r0, r0[1:])), "no-ground curvature must keep rising"
-        # with ground state: small at the edge (bound frozen from the
-        # det_bundle evaluation R(1 - 1e-6) = 7.77e-7) and falling to zero
-        r_edge = qg.geometry_sample(m1, ThermoPoint(1.0, 1.0 - 1e-6)).R
-        assert abs(r_edge) < 1e-5
-        r1 = [qg.geometry_sample(m1, ThermoPoint(1.0, float(x))).R for x in xis]
-        assert all(b < a for a, b in zip(r1, r1[1:])), "corrected curvature must fall"
-        assert abs(r1[-1]) < abs(r1[0])
-
-
-GRID_BETA = (0.5, 0.875, 1.25, 1.625, 2.0)
-GRID_XI = {
-    "fd": (0.2, 1.15, 2.1, 3.05, 4.0),
-    "be": (0.1, 0.3, 0.5, 0.7, 0.9),
-    "be0": (0.1, 0.3, 0.5, 0.7, 0.9),
-    "classical": (0.2, 0.65, 1.1, 1.55, 2.0),
-}
+        assert_passes(verification.suite_condensation_edge())
 
 
 def test_criterion_6_metric_oracle_equivalence():
     with criterion(6, "closed-form metric = difference oracle to 1e-6", 30.0):
-        for stat, xis in GRID_XI.items():
-            for eta in (0.5, 2.0):
-                model = GasModel(stat, eta=eta, kappa=1.0)
-                field = qg.free_energy_field(model)
-                for beta in GRID_BETA:
-                    for xi in xis:
-                        p = ThermoPoint(beta, xi)
-                        closed = qg.metric(model, p)
-                        if stat == "be":
-                            oracle = gc.jacobian_metric(
-                                lambda c: qg.averages(model, ThermoPoint.from_coords(c)),
-                                p.to_coords())
-                        else:
-                            oracle = gc.hessian_metric(field, p.to_coords())
-                        for a, b in zip(closed.entries(), oracle.entries()):
-                            assert a == pytest.approx(b, rel=1e-6), (stat, eta, beta, xi)
+        assert_passes(verification.suite_metric_oracles())
 
 
 def test_criterion_7_curvature_route_equivalence():
     with criterion(7, "det route = Riemann route = closed form", 60.0):
-        for stat in ("fd", "be", "be0"):
-            for eta in (0.5, 2.0):
-                model = GasModel(stat, eta=eta, kappa=1.0)
-                gfield = qg.metric_field(model)
-                for beta in GRID_BETA:
-                    for xi in GRID_XI[stat]:
-                        p = ThermoPoint(beta, xi)
-                        at = p.to_coords()
-                        r_det = gc.scalar_curvature_det(gfield, at)
-                        r_riem = gc.scalar_curvature_riemann(gfield, at)
-                        r_closed = qg.geometry_sample(model, p).R
-                        assert r_det == pytest.approx(r_riem, rel=1e-5), (stat, eta, beta, xi)
-                        assert r_det == pytest.approx(r_closed, rel=1e-4), (stat, eta, beta, xi)
-                        assert r_riem == pytest.approx(r_closed, rel=1e-4), (stat, eta, beta, xi)
+        assert_passes(verification.suite_curvature_routes())
 
 
 def test_criterion_8_identity_one_on_enumeration():
@@ -190,10 +138,78 @@ def test_criterion_9_polylog_correctness():
 
 def test_criterion_10_limit_formula_consistency():
     with criterion(10, "limit curvature matches xi = 1e-5 samples to 1e-3", 5.0):
-        for eta in (0.5, 2.0):
-            for beta in (0.5, 1.0, 2.0):
-                for stat in ("fd", "be"):
-                    model = GasModel(stat, eta=eta, kappa=1.0)
-                    lim = qg.limit_curvature(model, beta)
-                    samp = qg.geometry_sample(model, ThermoPoint(beta, 1e-5)).R
-                    assert lim == pytest.approx(samp, rel=1e-3), (stat, eta, beta)
+        assert_passes(verification.suite_limit_asymptotics())
+
+
+# Each fault moves the quantity that one tolerance checks by twice that
+# tolerance, so a suite that stops checking it, or a tolerance loosened
+# past twice its value, fails here.  A fault maps the patched function to
+# its faulty stand-in.
+
+def _times(factor):
+    return lambda f: lambda *args: f(*args) * factor
+
+
+def _plus(offset):
+    return lambda f: lambda *args: f(*args) + offset
+
+
+def _g12_times(factor):
+    def wrap(f):
+        def faulty(*args):
+            g = f(*args)
+            return replace(g, g12=g.g12 * factor)
+        return faulty
+    return wrap
+
+
+def _moments_times(mean_factor, cov_factor):
+    def wrap(f):
+        def faulty(spec, at):
+            u, n, cov = f(spec, at)
+            return u * mean_factor, n * mean_factor, replace(cov, g12=cov.g12 * cov_factor)
+        return faulty
+    return wrap
+
+
+def _curvature(new_r, stat=None):
+    # geometry_sample with R replaced by new_r(R), for one statistics or all
+    def wrap(f):
+        def faulty(model, point):
+            s = f(model, point)
+            return replace(s, R=new_r(s.R)) if stat in (None, model.statistics) else s
+        return faulty
+    return wrap
+
+
+FULL_SUITES = {**verification.SUITES,
+               "polylog-full": lambda: verification.suite_polylog_identities(full=True),
+               "condensation": verification.suite_condensation_edge}
+
+# id: (suite, module, patched name, fault)
+FAULTS = {
+    "polylog": ("polylog", verification, "polylog", _times(1 + 2e-6)),
+    "fock-identity-1": ("fock", gc, "fock_moments", _moments_times(1.0, 1 + 2e-8)),
+    "fock-identity-2": ("fock", gc, "fock_moments", _moments_times(1 + 2e-6, 1.0)),
+    "metric": ("metric", qg, "metric", _g12_times(1 + 2e-6)),
+    "curvature-routes": ("curvature", gc, "scalar_curvature_riemann", _times(1 + 2e-5)),
+    "curvature-closed-form": ("curvature", qg, "geometry_sample",
+                              _curvature(lambda r: r * (1 + 2e-4))),
+    "classical-closed-form": ("classical", qg, "geometry_sample", _curvature(lambda r: 1e-300)),
+    "classical-numeric": ("classical", gc, "scalar_curvature_det", _plus(2e-8)),
+    "fd-negativity": ("fd-negativity", qg, "geometry_sample", _curvature(lambda r: -r, "fd")),
+    "limits": ("limits", qg, "limit_curvature", _times(1 + 2e-3)),
+    "polylog-full": ("polylog-full", verification, "polylog", _times(1 + 2e-6)),
+    # a ground-state curvature held flat below the edge bound
+    "condensation-flat": ("condensation", qg, "geometry_sample", _curvature(lambda r: 7e-7, "be")),
+    "condensation-edge-bound": ("condensation", qg, "geometry_sample",
+                                _curvature(lambda r: r + 2e-5, "be")),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_suite_fails_on_injected_fault(fault, monkeypatch):
+    suite, module, name, wrap = FAULTS[fault]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    result = FULL_SUITES[suite]()
+    assert not result.passed, result

@@ -5,9 +5,9 @@ import, or a module-level private name (a leading underscore), that the
 module itself never loads is dead code left behind by an edit.  The
 import tests run in fresh interpreters: importing the command-line entry
 point loads no scipy module (``scipy.special`` alone took over half of that
-import), and ``verify --full`` and a figure run with the test-only packages
-blocked and leave ``numpy.random`` unloaded (its import would dominate the
-cheapest suite).
+import), and ``verify --full`` and the six figures run with the test-only
+packages blocked, emit no ``ConditioningWarning`` and leave ``numpy.random``
+unloaded (its import would dominate the cheapest suite).
 """
 import ast
 import importlib
@@ -87,16 +87,22 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_full_verify_leaves_numpy_random_unloaded(tmp_path):
-    # the runtime needs only numpy: the test-only packages are blocked outright
+    # the runtime needs only numpy: the test-only packages are blocked outright;
+    # a ConditioningWarning from verify or any figure is raised as an error
     blocked = ("scipy", "mpmath", "hypothesis", "pytest")
-    fig = str(tmp_path / "fig1.csv")
     loaded = _fresh_modules(
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys, warnings\n"
         f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
+        f"os.chdir({str(tmp_path)!r})\n"
         "from gasgeometry import cli\n"
+        "from gasgeometry.errors import ConditioningWarning\n"
+        "warnings.simplefilter('error', ConditioningWarning)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', '--full']) == 0\n"
-        f"    assert cli.main(['figure', '1', '--out', {fig!r}]) == 0\n")
+        "    for n in '123456':\n"
+        "        assert cli.main(['figure', n, '--out', 'fig' + n + '.csv']) == 0\n")
     assert "gasgeometry.verification" in loaded
     assert "numpy.random" not in loaded
-    assert Path(fig).stat().st_size > 0
+    for n in range(1, 7):
+        rows = (tmp_path / f"fig{n}.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)  # empty error column
