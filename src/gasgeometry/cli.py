@@ -54,8 +54,9 @@ class GridSpec:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if self.count < 2:
-            raise DomainError(f"grid needs count >= 2, got {self.count}")
+        if not (self.count >= 2 and math.isfinite(self.count) and self.count == int(self.count)):
+            raise DomainError(f"grid needs a whole count >= 2, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise DomainError(f"grid needs min < max, got [{self.lo}, {self.hi}]")
         if self.spacing not in ("linear", "log"):
@@ -80,7 +81,7 @@ class GridSpec:
     def from_config(cls, obj) -> "GridSpec":
         if isinstance(obj, str):
             return cls.parse(obj)
-        return cls(float(obj["min"]), float(obj["max"]), int(obj["count"]),
+        return cls(float(obj["min"]), float(obj["max"]), float(obj["count"]),
                    obj.get("spacing", "linear"))
 
     def values(self) -> np.ndarray:
@@ -254,8 +255,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    level = "full" if args.full else "fast"
-    results = verification.run_suites(level=level)
+    results = verification.run_suites()
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -265,8 +265,7 @@ def cmd_verify(args) -> int:
             line += f"  ({r.detail})"
         print(line)
         failures += 0 if r.passed else 1
-    print(f"summary: {len(results) - failures}/{len(results)} suites passed "
-          f"(level {level})")
+    print(f"summary: {len(results) - failures}/{len(results)} suites passed")
     return 1 if failures else 0
 
 
@@ -322,9 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limits.set_defaults(func=cmd_limits)
 
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
-    group = p_verify.add_mutually_exclusive_group()
-    group.add_argument("--fast", action="store_true", default=True)
-    group.add_argument("--full", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser("figure", help="emit the dataset behind a standard figure")

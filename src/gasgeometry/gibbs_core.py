@@ -57,7 +57,7 @@ __all__ = [
     "MAX_FOCK_STATES",
 ]
 
-# Default steps, scaled by max(1, |coordinate|).  First-derivative stencils
+# Stencil steps, scaled by max(1, |coordinate|).  First-derivative stencils
 # keep the 1e-4 baseline; the second-difference step is larger because the
 # ~1e-13 relative noise of the special-function layer is amplified by 1/h^2.
 GRAD_STEP = 1e-4
@@ -120,12 +120,7 @@ FreeEnergyField = Callable[[LagrangeCoords], float]
 MetricField = Callable[[LagrangeCoords], MetricTensor2]
 
 
-def _steps(at: LagrangeCoords, step: float | None, default: float) -> tuple[float, float]:
-    base = default if step is None else float(step)
-    if base <= 0.0:
-        raise DomainError("step must be positive")
-    if step is not None:
-        return base, base
+def _steps(at: LagrangeCoords, base: float) -> tuple[float, float]:
     return base * max(1.0, abs(at.lambda1)), base * max(1.0, abs(at.lambda2))
 
 
@@ -156,15 +151,14 @@ def _warn_if_degenerate(g: MetricTensor2, context: str) -> None:
             f"to its entries (scale {scale:.3e})", ConditioningWarning, stacklevel=3)
 
 
-def hessian_metric(F: FreeEnergyField, at: LagrangeCoords,
-                   step: float | None = None) -> MetricTensor2:
+def hessian_metric(F: FreeEnergyField, at: LagrangeCoords) -> MetricTensor2:
     """Fisher-Rao metric g_mn = -d^2 F/d lambda^m d lambda^n by differences.
 
     Central second differences with one Richardson halving; relative error
     ~1e-7 for smooth fields evaluated at ~1e-13 accuracy.  A degenerate
     result (det g <= 0) triggers a :class:`ConditioningWarning`.
     """
-    h1, h2 = _steps(at, step, HESS_STEP)
+    h1, h2 = _steps(at, HESS_STEP)
     f0 = F(at)
 
     def cross(s: float, t: float) -> float:
@@ -187,7 +181,7 @@ def hessian_metric(F: FreeEnergyField, at: LagrangeCoords,
 
 
 def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
-                    at: LagrangeCoords, step: float | None = None) -> MetricTensor2:
+                    at: LagrangeCoords) -> MetricTensor2:
     """Metric from expected values, g_mn = -d A_m / d lambda^n.
 
     This is the covariance-route metric used when only (U, N) are known in
@@ -195,7 +189,7 @@ def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
     off-diagonal estimates -dN/dlambda^1 and -dU/dlambda^2 must agree for a
     Hessian metric; their mean is returned.
     """
-    h1, h2 = _steps(at, step, GRAD_STEP)
+    h1, h2 = _steps(at, GRAD_STEP)
 
     def pair(c: LagrangeCoords) -> np.ndarray:
         return np.array(averages(c))
@@ -206,9 +200,9 @@ def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
     return g
 
 
-def _metric_rows(gfield: MetricField, at: LagrangeCoords,
-                 step: float | None) -> tuple[MetricTensor2, np.ndarray, np.ndarray]:
-    h1, h2 = _steps(at, step, GRAD_STEP)
+def _metric_rows(gfield: MetricField,
+                 at: LagrangeCoords) -> tuple[MetricTensor2, np.ndarray, np.ndarray]:
+    h1, h2 = _steps(at, GRAD_STEP)
     g0 = gfield(at)
 
     def entries(c: LagrangeCoords) -> np.ndarray:
@@ -226,17 +220,15 @@ def _require_regular(g: MetricTensor2, context: str) -> float:
     return detg
 
 
-def scalar_curvature_det(gfield: MetricField, at: LagrangeCoords,
-                         step: float | None = None) -> float:
+def scalar_curvature_det(gfield: MetricField, at: LagrangeCoords) -> float:
     """Scalar curvature of a Hessian metric field, determinant route."""
-    g0, d1g, d2g = _metric_rows(gfield, at, step)
+    g0, d1g, d2g = _metric_rows(gfield, at)
     detg = _require_regular(g0, "scalar_curvature_det")
     det3 = float(np.linalg.det(np.array([g0.entries(), d1g, d2g])))
     return -det3 / (2.0 * detg * detg)
 
 
-def scalar_curvature_riemann(gfield: MetricField, at: LagrangeCoords,
-                             step: float | None = None) -> float:
+def scalar_curvature_riemann(gfield: MetricField, at: LagrangeCoords) -> float:
     """Scalar curvature via Christoffel symbols and R_1212.
 
     For a Hessian metric Gamma_{s|mn} = (1/2) d_s g_mn, and the lowered
@@ -248,7 +240,7 @@ def scalar_curvature_riemann(gfield: MetricField, at: LagrangeCoords,
     to stencil accuracy; the pair is the route-equivalence check used by
     the verification suite.
     """
-    g0, d1g, d2g = _metric_rows(gfield, at, step)
+    g0, d1g, d2g = _metric_rows(gfield, at)
     detg = _require_regular(g0, "scalar_curvature_riemann")
     dg = (d1g, d2g)  # dg[s] = (d_s g11, d_s g12, d_s g22)
     ginv = np.array([[g0.g22, -g0.g12], [-g0.g12, g0.g11]]) / detg
@@ -260,10 +252,9 @@ def scalar_curvature_riemann(gfield: MetricField, at: LagrangeCoords,
     return 2.0 * r1212 / detg
 
 
-def legendre_entropy(F: FreeEnergyField, at: LagrangeCoords,
-                     step: float | None = None) -> float:
+def legendre_entropy(F: FreeEnergyField, at: LagrangeCoords) -> float:
     """Entropy S = lambda^m A_m - F with A_m = dF/dlambda^m by differences."""
-    h1, h2 = _steps(at, step, GRAD_STEP)
+    h1, h2 = _steps(at, GRAD_STEP)
     f0 = F(at)
     return at.lambda1 * _d1(F, at, 0, h1) + at.lambda2 * _d1(F, at, 1, h2) - f0
 

@@ -453,8 +453,8 @@ def dos_catalog(system: str, dims: int = 3) -> DensityOfStatesEntry:
     kappa = g_s V/(4 pi^2) (2m/hbar^2)^(3/2) for the box, and eta = 2 for
     the other two.
     """
-    if dims < 1:
-        raise DomainError(f"dims must be >= 1, got {dims}")
+    if not (dims >= 1 and math.isfinite(dims) and dims == int(dims)):
+        raise DomainError(f"dims must be a whole number >= 1, got {dims}")
     d = int(dims)
 
     if system == "box":

@@ -4,9 +4,9 @@ Each suite pits one computational route against another that shares no
 code path with it (series vs quadrature, closed form vs finite
 differences, determinant vs Christoffel contraction, product form vs
 brute enumeration) and reports the worst observed deviation against the
-suite tolerance.  ``run_suites`` drives them all; the CLI ``verify``
-subcommand is a thin wrapper.  The package loads no scipy module, so
-scipy's adaptive ``quad`` is not an oracle here.
+suite tolerance.  ``run_suites`` drives all nine at one level; the CLI
+``verify`` subcommand is a thin wrapper.  The package loads no scipy
+module, so scipy's adaptive ``quad`` is not an oracle here.
 
 All sampling is deterministic (fixed seeds, fixed grids); random points
 come from the standard library's ``random``, not ``numpy.random``, whose
@@ -40,7 +40,7 @@ class SuiteResult:
 
 
 def _result(name: str, tol: float, dev: float, detail: str = "") -> SuiteResult:
-    return SuiteResult(name, tol, dev, passed=bool(dev <= tol), detail=detail)
+    return SuiteResult(name, tol, float(dev), passed=bool(dev <= tol), detail=detail)
 
 
 def _rel(a: float, b: float) -> float:
@@ -50,7 +50,7 @@ def _rel(a: float, b: float) -> float:
 def suite_polylog_identities(full: bool = False) -> SuiteResult:
     """Closed forms, the order-lowering identity and series vs quadrature.
 
-    The full level checks instead the condensation edge and the Fermi rule
+    With ``full`` it checks instead the condensation edge and the Fermi rule
     at y < -1, each against identities that tie it to another regime.
     """
     tol = 1e-6
@@ -141,9 +141,9 @@ def suite_fock_identities() -> SuiteResult:
                 worst_id2,
                 float(np.max(np.abs(g[:, 0] + dA1) / np.maximum(np.abs(dA1), 1e-30))),
                 float(np.max(np.abs(g[:, 1] + dA2) / np.maximum(np.abs(dA2), 1e-30))))
-    passed = worst_id1 <= tol_id1 and worst_id2 <= tol_id2
+    passed = bool(worst_id1 <= tol_id1 and worst_id2 <= tol_id2)
     detail = f"identity 1 dev {worst_id1:.2e} (tol 1e-8), identity 2 dev {worst_id2:.2e} (tol 1e-6)"
-    return SuiteResult("fock enumeration identities", tol_id1, worst_id1, passed, detail)
+    return SuiteResult("fock enumeration identities", tol_id1, float(worst_id1), passed, detail)
 
 
 _GRID_BETA = (0.5, 0.875, 1.25, 1.625, 2.0)
@@ -199,10 +199,10 @@ def suite_curvature_routes() -> SuiteResult:
                     worst_routes = max(worst_routes, _rel(r_det, r_riem))
                     worst_closed = max(worst_closed, _rel(r_det, r_closed),
                                        _rel(r_riem, r_closed))
-    passed = worst_routes <= tol_routes and worst_closed <= tol_closed
+    passed = bool(worst_routes <= tol_routes and worst_closed <= tol_closed)
     detail = (f"routes {worst_routes:.2e} (tol 1e-5), "
               f"vs closed form {worst_closed:.2e} (tol 1e-4)")
-    return SuiteResult("curvature route equivalence", tol_routes, worst_routes,
+    return SuiteResult("curvature route equivalence", tol_routes, float(worst_routes),
                        passed, detail)
 
 
@@ -289,12 +289,10 @@ SUITES: dict[str, Callable[[], SuiteResult]] = {
 }
 
 
-def run_suites(level: str = "fast") -> list[SuiteResult]:
-    """Run the verification suites; 'full' adds the condensation edge."""
-    if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    results = [suite() for suite in SUITES.values()]
-    if level == "full":
-        results.append(suite_polylog_identities(full=True))
-        results.append(suite_condensation_edge())
-    return results
+def run_suites(level: str = "full") -> list[SuiteResult]:
+    """Run the nine suites: ``SUITES``, the polylog edge identities and the
+    condensation edge.  ``"full"`` is the only level."""
+    if level != "full":
+        raise ValueError(f"level must be 'full', got {level!r}")
+    return [*(suite() for suite in SUITES.values()),
+            suite_polylog_identities(full=True), suite_condensation_edge()]

@@ -182,6 +182,16 @@ def _curvature(new_r, stat=None):
     return wrap
 
 
+def test_run_suites_has_one_level_of_plain_results():
+    results = verification.run_suites()
+    assert [r.name for r in results] == [r.name for r in verification.run_suites("full")]
+    assert len(results) == 9 and results[-1].name == "condensation edge"
+    for r in results:
+        assert type(r.passed) is bool and type(r.max_deviation) is float, r
+    with pytest.raises(ValueError):
+        verification.run_suites("fast")
+
+
 FULL_SUITES = {**verification.SUITES,
                "polylog-full": lambda: verification.suite_polylog_identities(full=True),
                "condensation": verification.suite_condensation_edge}
@@ -212,4 +222,5 @@ def test_suite_fails_on_injected_fault(fault, monkeypatch):
     suite, module, name, wrap = FAULTS[fault]
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     result = FULL_SUITES[suite]()
-    assert not result.passed, result
+    assert result.passed is False, result
+    assert type(result.max_deviation) is float, result

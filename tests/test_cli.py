@@ -107,6 +107,10 @@ def test_grid_parse_and_values():
     for bad in ("1:2", "2:1:5", "1:2:1", "0:1:5:log", "1:2:3:cubic"):
         with pytest.raises(DomainError):
             GridSpec.parse(bad)
+    assert GridSpec(1.0, 2.0, 3.0).values().tolist() == [1.0, 1.5, 2.0]
+    for count in (2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            GridSpec(1.0, 2.0, count)
 
 
 def test_sweep_spec_respects_bose_domain():
@@ -224,7 +228,8 @@ def test_sweep_fills_exactly_the_cells_of_one_output(choice, tmp_path, capsys):
     {"stat": "fd", "beta_grid": {"min": 1.0, "count": 2}, "xi_grid": "0.5:1:2"},
     {"stat": "fd", "eta": "abc", "beta_grid": "1:2:2", "xi_grid": "0.5:1:2"},
     ["fd", "1:2:2", "0.5:1:2"],
-], ids=["grid-without-max", "eta-not-a-number", "top-level-list"])
+    {"stat": "fd", "beta_grid": {"min": 1, "max": 2, "count": 2.9}, "xi_grid": "0.5:1:2"},
+], ids=["grid-without-max", "eta-not-a-number", "top-level-list", "fractional-count"])
 def test_sweep_malformed_config_is_domain_error(cfg, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -299,24 +304,24 @@ def test_limits_out_of_range_beta_exits_2(capsys):
 # verify
 # ---------------------------------------------------------------------------
 
-def test_verify_fast_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--fast")
+def test_verify_runs_all_nine_suites(capsys):
+    code, out, _ = run(capsys, "verify")
     assert code == 0, out
-    assert "summary:" in out
-    assert "FAIL" not in out
-
-
-def test_verify_full_includes_condensation_edge(capsys):
-    code, out, _ = run(capsys, "verify", "--full")
-    assert code == 0, out
-    assert "condensation edge" in out
-    assert "FAIL" not in out
+    lines = out.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("[PASS] ") for line in lines[:9])
+    assert any("condensation edge" in line for line in lines[:9])
+    assert lines[9] == "summary: 9/9 suites passed"
+    for flag in ("--fast", "--full"):  # the levels are gone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", flag])
+        assert exc.value.code == 2
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     failing = verification.SuiteResult("stub", 1e-6, 1.0, passed=False)
-    monkeypatch.setattr(verification, "run_suites", lambda level: [failing])
-    code, out, _ = run(capsys, "verify", "--fast")
+    monkeypatch.setattr(verification, "run_suites", lambda *args: [failing])
+    code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "[FAIL]" in out
 

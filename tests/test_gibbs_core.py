@@ -117,9 +117,15 @@ def test_jacobian_metric_matches_hessian_for_gradient_pair():
 # difference, leaving h^4 terms that need fifth (first differences) or sixth
 # (second differences) derivatives; these vanish for the polynomials below,
 # so at the coarse step 0.1 the stencils are exact up to rounding, while a
-# plain central difference misses by ~1e-3 or more.  The default steps
+# plain central difference misses by ~1e-3 or more.  The engine's steps
 # (h^2 ~ 1e-8) are too fine for the other tests to tell the two apart.
 ORDER_STEP = 0.1
+
+
+@pytest.fixture
+def coarse_steps(monkeypatch):
+    monkeypatch.setattr(gc, "HESS_STEP", ORDER_STEP)
+    monkeypatch.setattr(gc, "GRAD_STEP", ORDER_STEP)
 
 
 def quartic(x, y):
@@ -134,7 +140,7 @@ def quartic_hessian(x, y):
     return 12 * x * x + 2 * y * y, 4 * x * y + 3 * y * y, 2 * x * x + 12 * y * y + 6 * x * y
 
 
-def test_stencils_are_exact_on_a_quartic_field():
+def test_stencils_are_exact_on_a_quartic_field(coarse_steps):
     x, y = 1.0, 0.5
     at = LagrangeCoords(x, y)
     # F = -Q, so g = Hess Q is positive definite and A = dF/dlambda = -grad Q
@@ -144,21 +150,21 @@ def test_stencils_are_exact_on_a_quartic_field():
     grad = quartic_gradient(x, y)
     hess = quartic_hessian(x, y)
 
-    g = gc.hessian_metric(field, at, step=ORDER_STEP)
+    g = gc.hessian_metric(field, at)
     assert g.entries() == pytest.approx(hess, rel=1e-10, abs=1e-10)
 
     def avg(c):
         gx, gy = quartic_gradient(c.lambda1, c.lambda2)
         return -gx, -gy
 
-    gj = gc.jacobian_metric(avg, at, step=ORDER_STEP)
+    gj = gc.jacobian_metric(avg, at)
     assert gj.entries() == pytest.approx(hess, rel=1e-10, abs=1e-10)
 
-    s = gc.legendre_entropy(field, at, step=ORDER_STEP)
+    s = gc.legendre_entropy(field, at)
     assert s == pytest.approx(-x * grad[0] - y * grad[1] + quartic(x, y), rel=1e-10, abs=1e-10)
 
 
-def test_curvature_stencils_are_exact_on_a_polynomial_metric():
+def test_curvature_stencils_are_exact_on_a_polynomial_metric(coarse_steps):
     # Hessian metric of P = x^6/10 + x^3 y^3/5 + y^6/10 + x^2 + y^2: the
     # entries are quartic, their derivatives (third derivatives of P) cubic
     def metric(x, y):
@@ -175,10 +181,8 @@ def test_curvature_stencils_are_exact_on_a_polynomial_metric():
     detg = g11 * g22 - g12 * g12
     expected = -np.linalg.det(np.array([metric(x, y), d1g, d2g])) / (2 * detg * detg)
     at = LagrangeCoords(x, y)
-    assert gc.scalar_curvature_det(gfield, at, step=ORDER_STEP) == pytest.approx(
-        expected, rel=1e-10)
-    assert gc.scalar_curvature_riemann(gfield, at, step=ORDER_STEP) == pytest.approx(
-        expected, rel=1e-10)
+    assert gc.scalar_curvature_det(gfield, at) == pytest.approx(expected, rel=1e-10)
+    assert gc.scalar_curvature_riemann(gfield, at) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +223,21 @@ def test_be_ground_state_curvature_route():
     assert r_riem == pytest.approx(qg.geometry_sample(model, p).R, rel=1e-4)
 
 
-def test_trinomial_sphere_curvature():
+def test_trinomial_sphere_curvature(monkeypatch):
     # categorical family on 3 outcomes: Fisher metric = octant of a radius-2
     # sphere, scalar curvature +1/2 everywhere in this sign convention
+    monkeypatch.setattr(gc, "HESS_STEP", 1e-3)
+    monkeypatch.setattr(gc, "GRAD_STEP", 2e-2)
+
     def F(c):
         return -math.log(1.0 + math.exp(-c.lambda1) + math.exp(-c.lambda2))
 
     def gfield(c):
-        return gc.hessian_metric(F, c, step=1e-3)
+        return gc.hessian_metric(F, c)
 
     for at in (LagrangeCoords(0.3, -0.2), LagrangeCoords(1.0, 0.5)):
-        assert gc.scalar_curvature_det(gfield, at, step=2e-2) == pytest.approx(0.5, rel=2e-4)
-        assert gc.scalar_curvature_riemann(gfield, at, step=2e-2) == pytest.approx(0.5, rel=2e-4)
+        assert gc.scalar_curvature_det(gfield, at) == pytest.approx(0.5, rel=2e-4)
+        assert gc.scalar_curvature_riemann(gfield, at) == pytest.approx(0.5, rel=2e-4)
 
 
 def test_singular_metric_raises():

@@ -628,5 +628,6 @@ def test_dos_ultrarelativistic_matches_printed_three_dim_form():
 def test_dos_unknown_system():
     with pytest.raises(DomainError):
         qg.dos_catalog("anyon_gas", 3)
-    with pytest.raises(DomainError):
-        qg.dos_catalog("box", 0)
+    for dims in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            qg.dos_catalog("box", dims)

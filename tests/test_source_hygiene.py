@@ -5,7 +5,7 @@ import, or a module-level private name (a leading underscore), that the
 module itself never loads is dead code left behind by an edit.  The
 import tests run in fresh interpreters: importing the command-line entry
 point loads no scipy module (``scipy.special`` alone took over half of that
-import), and ``verify --full`` and the six figures run with the test-only
+import), and ``verify`` and the six figures run with the test-only
 packages blocked, emit no ``ConditioningWarning`` and leave ``numpy.random``
 unloaded (its import would dominate the cheapest suite).
 """
@@ -98,7 +98,7 @@ def test_full_verify_leaves_numpy_random_unloaded(tmp_path):
         "from gasgeometry.errors import ConditioningWarning\n"
         "warnings.simplefilter('error', ConditioningWarning)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', '--full']) == 0\n"
+        "    assert cli.main(['verify']) == 0\n"
         "    for n in '123456':\n"
         "        assert cli.main(['figure', n, '--out', 'fig' + n + '.csv']) == 0\n")
     assert "gasgeometry.verification" in loaded
