@@ -304,18 +304,29 @@ def test_limits_out_of_range_beta_exits_2(capsys):
 # verify
 # ---------------------------------------------------------------------------
 
-def test_verify_runs_all_nine_suites(capsys):
+# `verify` has one level now; these two tests keep the names of the old
+# `--fast` and `--full` checks, and each asserts its flag is gone.
+
+def test_verify_fast_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0, out
     lines = out.splitlines()
     assert len(lines) == 10
     assert all(line.startswith("[PASS] ") for line in lines[:9])
-    assert any("condensation edge" in line for line in lines[:9])
     assert lines[9] == "summary: 9/9 suites passed"
-    for flag in ("--fast", "--full"):  # the levels are gone
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", flag])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--fast"])
+    assert exc.value.code == 2
+
+
+def test_verify_full_includes_condensation_edge(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0, out
+    assert any(line.startswith("[PASS] ") and "condensation edge" in line
+               for line in out.splitlines())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--full"])
+    assert exc.value.code == 2
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
