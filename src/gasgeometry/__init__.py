@@ -26,8 +26,9 @@ from .quantum_gas import (BOSE_EINSTEIN, BOSE_EINSTEIN_NO_GROUND,
                           CLASSICAL_IDEAL, FERMI_DIRAC, STATISTICS,
                           DensityOfStatesEntry, DeterminantBundle, GasModel,
                           GeometrySample, LimitCoefficients, ThermoPoint,
-                          averages, det_bundle, dos_catalog, free_energy,
-                          free_energy_field, geometry_sample,
+                          averages, averages_grid, det_bundle, dos_catalog,
+                          free_energy, free_energy_field, geometry_grid,
+                          geometry_sample,
                           ground_state_occupation, limit_coefficients,
                           limit_curvature, metric, metric_field)
 from .special_functions import (gamma_real, polylog, polylog_quadrature,
@@ -46,9 +47,10 @@ __all__ = [
     "FERMI_DIRAC", "STATISTICS",
     "DensityOfStatesEntry", "DeterminantBundle", "GasModel", "GeometrySample",
     "LimitCoefficients", "ThermoPoint",
-    "averages", "det_bundle", "dos_catalog", "free_energy",
-    "free_energy_field", "geometry_sample", "ground_state_occupation",
-    "limit_coefficients", "limit_curvature", "metric", "metric_field",
+    "averages", "averages_grid", "det_bundle", "dos_catalog", "free_energy",
+    "free_energy_field", "geometry_grid", "geometry_sample",
+    "ground_state_occupation", "limit_coefficients", "limit_curvature",
+    "metric", "metric_field",
     "gamma_real", "polylog", "polylog_quadrature", "polylog_series",
     "polylog_step_down", "zeta_real",
     "__version__",

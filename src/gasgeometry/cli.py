@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -112,25 +113,40 @@ class SweepSpec:
                 raise DomainError("Bose statistics need a xi grid inside (0, 1)")
 
 
-def _point_record(model: GasModel, p: ThermoPoint, outputs: frozenset[str]) -> dict[str, str]:
-    row = dict.fromkeys(CSV_COLUMNS, "")
-    row["beta"] = _fmt(p.beta)
-    row["xi"] = _fmt(p.xi)
-    row["eta"] = _fmt(model.eta)
-    row["kappa"] = _fmt(model.kappa)
-    row["stat"] = model.statistics
+def _rows(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[dict[str, str]]:
+    # CSV rows, beta outer and xi inner; the cells come from one pass of
+    # geometry_grid and one of averages_grid, each run only if outputs ask
+    betas = [float(beta) for beta in betas]
+    xis = [float(xi) for xi in xis]
+    skip = itertools.repeat(None)
+    samples = quantum_gas.geometry_grid(model, betas, xis) if outputs - {"averages"} else skip
+    means = quantum_gas.averages_grid(model, betas, xis) if "averages" in outputs else skip
+    blank = dict.fromkeys(CSV_COLUMNS, "")
+    blank.update(eta=_fmt(model.eta), kappa=_fmt(model.kappa), stat=model.statistics)
+    xi_cells = [_fmt(xi) for xi in xis]
+    for beta in betas:
+        head = dict(blank, beta=_fmt(beta))
+        for xi in xi_cells:
+            yield _record(dict(head, xi=xi), outputs, next(samples), next(means))
+
+
+def _record(row: dict[str, str], outputs: frozenset[str], sample, means) -> dict[str, str]:
+    # sample and means: a grid's item at this point, None where not asked;
+    # a failed sample ends the point, and cells computed before a failure
+    # are still reported
     cells = {}
-    try:
-        if outputs - {"averages"}:
-            sample = quantum_gas.geometry_sample(model, p)
-            g = sample.metric
-            cells = {"g11": g.g11, "g12": g.g12, "g22": g.g22, "det_g": sample.det_g,
-                     "g_bar": sample.g_bar, "R": sample.R, "R_bar": sample.R_bar}
-        if "averages" in outputs:
-            cells["U"], cells["N"] = quantum_gas.averages(model, p)
-    except (DomainError, PolylogOverflowError, SingularMetricError) as exc:
-        row["error"] = str(exc).replace(",", ";")
-    # cells computed before a failure are still reported
+    error = sample if isinstance(sample, Exception) else None
+    if sample is not None and error is None:
+        g = sample.metric
+        cells = {"g11": g.g11, "g12": g.g12, "g22": g.g22, "det_g": sample.det_g,
+                 "g_bar": sample.g_bar, "R": sample.R, "R_bar": sample.R_bar}
+    if means is not None and error is None:
+        if isinstance(means, Exception):
+            error = means
+        else:
+            cells["U"], cells["N"] = means
+    if error is not None:
+        row["error"] = str(error).replace(",", ";")
     for name in outputs:
         for column in OUTPUT_COLUMNS[name]:
             if column in cells:
@@ -138,11 +154,13 @@ def _point_record(model: GasModel, p: ThermoPoint, outputs: frozenset[str]) -> d
     return row
 
 
-def sweep_rows(spec: SweepSpec) -> Iterable[dict[str, str]]:
-    for beta in spec.beta_grid.values():
-        for xi in spec.xi_grid.values():
-            yield _point_record(spec.model, ThermoPoint(float(beta), float(xi)),
-                                spec.outputs)
+def _point_record(model: GasModel, p: ThermoPoint, outputs: frozenset[str]) -> dict[str, str]:
+    return next(_rows(model, (p.beta,), (p.xi,), outputs))  # the one-cell grid
+
+
+def sweep_rows(spec: SweepSpec) -> Iterator[dict[str, str]]:
+    """The CSV rows of one sweep block, made one at a time."""
+    return _rows(spec.model, spec.beta_grid.values(), spec.xi_grid.values(), spec.outputs)
 
 
 def write_sweep(specs: Sequence[SweepSpec], stream: TextIO) -> None:

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .errors import ConditioningWarning, DomainError, SingularMetricError
+from .errors import (ConditioningWarning, DomainError, PolylogOverflowError,
+                     SingularMetricError)
 from .gibbs_core import FreeEnergyField, LagrangeCoords, MetricTensor2
 from .special_functions import gamma_real, polylog, polylog_step_down
 
@@ -66,6 +67,8 @@ __all__ = [
     "metric",
     "det_bundle",
     "geometry_sample",
+    "geometry_grid",
+    "averages_grid",
     "limit_coefficients",
     "limit_curvature",
     "dos_catalog",
@@ -138,13 +141,15 @@ class DeterminantBundle:
 
     A and B are the 2x2 and 3x3 Gamma/polylog determinants entering the
     metric determinant and curvature; A_c and B_c are their ground-state
-    companions, defined only for 0 < x < 1 (None otherwise).
+    companions, defined only for 0 < x < 1 (None otherwise).  ``warning``
+    is the text of the ConditioningWarning det_bundle emitted, or None.
     """
 
     A: float
     B: float
     A_c: Optional[float]
     B_c: Optional[float]
+    warning: Optional[str] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -187,29 +192,63 @@ def _ground_terms(xi: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# thermodynamic closed forms
+# grid cells: what a point shares with its xi column and its beta row
 # --------------------------------------------------------------------------
+#
+# Every closed form below is built from rungs T(k, j) = c_k L_j, with
+# L_j = L(eta+j) and c_k = kappa Gamma(eta+k) / beta^(eta+k).  A point's
+# column [L_0, L_1, L_2, bundle] depends on xi alone and its ladder
+# [-, c_1, c_2, c_3] on beta alone.  Both start as [None] * 4 and are filled
+# on first use, so the points of a grid share them; a lone point is the
+# one-cell case.  A value that raises is not kept: each point raises it
+# again, as it would on its own.
 
-def _term(model: GasModel, p: ThermoPoint, k: float, j: float) -> float:
-    # ladder rung T(k, j) = (kappa Gamma(eta+k) / beta^(eta+k)) * L(eta+j);
-    # negation is exact, so carrying the sign on L changes no bit of the
-    # product, and each quantity fetches only the polylog orders it needs;
-    # a rung outside the float range raises DomainError, not a bare error
-    eta = model.eta
-    if model.statistics == FERMI_DIRAC:
-        l = -polylog(-p.xi, eta + j)
-    elif model.statistics == CLASSICAL_IDEAL:
-        l = p.xi  # classical: leading polylog term exactly
-    else:
-        l = polylog(p.xi, eta + j)
-    try:
-        out = model.kappa * gamma_real(eta + k) / p.beta ** (eta + k) * l
-    except (OverflowError, ZeroDivisionError):
-        out = math.inf
+def _rung(model: GasModel, p: ThermoPoint, column: list, ladder: list, k: int, j: int) -> float:
+    # T(k, j) = c_k L_j, the same product and bits as
+    # kappa * Gamma(eta+k) / beta**(eta+k) * L; a rung outside the float
+    # range raises DomainError, not a bare error
+    l = column[j]
+    if l is None:
+        # L(eta+j) = -Li(-xi, .) (fd), Li(xi, .) (Bose) or xi (classical);
+        # negation is exact, so carrying the sign on L changes no bit
+        if model.statistics == FERMI_DIRAC:
+            l = -polylog(-p.xi, model.eta + j)
+        elif model.statistics == CLASSICAL_IDEAL:
+            l = p.xi  # classical: leading polylog term exactly
+        else:
+            l = polylog(p.xi, model.eta + j)
+        column[j] = l
+    c = ladder[k]
+    if c is None:
+        # a factor outside the float range is inf, and so is every rung
+        # that uses it (L > 0)
+        order = model.eta + k
+        try:
+            c = model.kappa * gamma_real(order) / p.beta ** order
+        except (OverflowError, ZeroDivisionError):
+            c = math.inf
+        ladder[k] = c
+    out = c * l
     if out == 0.0 or math.isinf(out):
         raise DomainError(f"a ladder term leaves the float range at beta = {p.beta!r} and xi = {p.xi!r}")
     return out
 
+
+def _column_bundle(model: GasModel, p: ThermoPoint, column: list) -> DeterminantBundle:
+    # det_bundle warns at the column's first point; every later point
+    # repeats the warning, as it would on its own
+    bundle = column[3]
+    if bundle is None:
+        x = -p.xi if model.statistics == FERMI_DIRAC else p.xi
+        bundle = column[3] = det_bundle(x, model.eta)
+    elif bundle.warning is not None:
+        warnings.warn(bundle.warning, ConditioningWarning, stacklevel=2)
+    return bundle
+
+
+# --------------------------------------------------------------------------
+# thermodynamic closed forms
+# --------------------------------------------------------------------------
 
 def free_energy(model: GasModel, p: ThermoPoint) -> float:
     """Grand canonical free energy F = -log Z per the closed forms above.
@@ -218,10 +257,20 @@ def free_energy(model: GasModel, p: ThermoPoint) -> float:
     and -Hess F = g hold for every statistics.
     """
     _require_point(model, p)
-    f = -_term(model, p, 1.0, 2.0)
+    f = -_rung(model, p, [None] * 4, [None] * 4, 1, 2)
     if model.statistics == BOSE_EINSTEIN:
         f += math.log1p(-p.xi)
     return f
+
+
+def _cell_averages(model: GasModel, p: ThermoPoint, column: list,
+                   ladder: list) -> tuple[float, float]:
+    _require_point(model, p)
+    u = _rung(model, p, column, ladder, 2, 2)
+    n = _rung(model, p, column, ladder, 1, 1)
+    if model.statistics == BOSE_EINSTEIN:
+        n += ground_state_occupation(p)
+    return u, n
 
 
 def averages(model: GasModel, p: ThermoPoint) -> tuple[float, float]:
@@ -231,12 +280,7 @@ def averages(model: GasModel, p: ThermoPoint) -> tuple[float, float]:
     N0 = xi/(1-xi); the energy is unchanged because the ground level
     carries zero energy.
     """
-    _require_point(model, p)
-    u = _term(model, p, 2.0, 2.0)
-    n = _term(model, p, 1.0, 1.0)
-    if model.statistics == BOSE_EINSTEIN:
-        n += ground_state_occupation(p)
-    return u, n
+    return _cell_averages(model, p, [None] * 4, [None] * 4)
 
 
 def ground_state_occupation(p: ThermoPoint) -> float:
@@ -250,17 +294,23 @@ def ground_state_occupation(p: ThermoPoint) -> float:
 # metrics
 # --------------------------------------------------------------------------
 
+def _cell_metric(model: GasModel, p: ThermoPoint, column: list,
+                 ladder: list) -> MetricTensor2:
+    _require_point(model, p)
+    g22 = _rung(model, p, column, ladder, 1, 0)
+    if model.statistics == BOSE_EINSTEIN:
+        g22 += _ground_terms(p.xi)[0]
+    return MetricTensor2(_rung(model, p, column, ladder, 3, 2),
+                         _rung(model, p, column, ladder, 2, 1), g22)
+
+
 def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
     """Closed-form metric (T(3,2), T(2,1), T(1,0)) of any statistics.
 
     All entries are positive; with the ground state only g22 changes, by
     xi/(1-xi)^2.
     """
-    _require_point(model, p)
-    g22 = _term(model, p, 1.0, 0.0)
-    if model.statistics == BOSE_EINSTEIN:
-        g22 += _ground_terms(p.xi)[0]
-    return MetricTensor2(_term(model, p, 3.0, 2.0), _term(model, p, 2.0, 1.0), g22)
+    return _cell_metric(model, p, [None] * 4, [None] * 4)
 
 
 # --------------------------------------------------------------------------
@@ -306,16 +356,18 @@ def det_bundle(x: float, eta: float) -> DeterminantBundle:
     a = g1 * g2 * ((eta + 2.0) * l_0 * l_2 - (eta + 1.0) * l_1 * l_1)
     core = l_0 * (2.0 * l_0 * l_2 - l_1 * l_1) - l_m1 * l_1 * l_2
     terms = abs(l_0) * (2.0 * abs(l_0 * l_2) + l_1 * l_1) + abs(l_m1 * l_1 * l_2)
+    note = None
     if terms > 1e-8 * 2.0**52 * abs(core):  # 2^-52 terms / |core| estimates B's relative error
-        warnings.warn(f"det_bundle: B at x = {x!r}, eta = {eta!r} keeps fewer than 8 digits "
-                      "after cancellation", ConditioningWarning, stacklevel=2)
+        note = (f"det_bundle: B at x = {x!r}, eta = {eta!r} keeps fewer than 8 digits "
+                "after cancellation")
+        warnings.warn(note, ConditioningWarning, stacklevel=2)
     b = g1 * g2 * g3 * core
     if 0.0 < x < 1.0:
         gs1, gs2 = _ground_terms(x)
         b_c = (eta + 2.0) * g2 * g2 * (
             gs1 * ((eta + 3.0) * l_0 * l_2 - (eta + 2.0) * l_1 * l_1) - gs2 * l_1 * l_2)
-        return DeterminantBundle(a, b, g3 * l_2 * gs1, b_c)
-    return DeterminantBundle(a, b, None, None)
+        return DeterminantBundle(a, b, g3 * l_2 * gs1, b_c, note)
+    return DeterminantBundle(a, b, None, None, note)
 
 
 def _curvature(bundle: DeterminantBundle, t: float, statistics: str) -> tuple[float, float, float]:
@@ -333,6 +385,32 @@ def _curvature(bundle: DeterminantBundle, t: float, statistics: str) -> tuple[fl
     return g_bar, ratio / g_bar, sign * (t / g_bar) * ratio
 
 
+def _cell_sample(model: GasModel, p: ThermoPoint, column: list,
+                 ladder: list) -> GeometrySample:
+    eta, kappa = model.eta, model.kappa
+    g = _cell_metric(model, p, column, ladder)  # has checked that beta^(eta+k), k = 1..3, are finite
+    scale = kappa / p.beta ** (eta + 2.0)
+    t = p.beta ** (eta + 1.0) / kappa
+    if model.statistics == CLASSICAL_IDEAL:
+        # xi^2 f with f = Gamma(eta+1) Gamma(eta+2) as limit_coefficients
+        # forms it; that function also needs h, which overflows first
+        g1 = gamma_real(eta + 1.0)
+        g_bar = p.xi * p.xi * (g1 * ((eta + 1.0) * g1))
+        r = r_bar = 0.0
+    else:
+        # the bundle is made only once a point of the column passes the range
+        # checks above, so a column of failing points makes none
+        g_bar, r_bar, r = _curvature(_column_bundle(model, p, column), t, model.statistics)
+    det_g = scale * (scale * g_bar)
+    if not (math.isfinite(det_g) and math.isfinite(r)):
+        raise DomainError(f"geometry_sample: det g = {det_g} or R = {r} leaves the float range")
+    if g_bar <= 0.0 or det_g < 1e-12 * (abs(g.g11 * g.g22) + g.g12 * g.g12):
+        warnings.warn(
+            f"geometry_sample: determinant factor {g_bar:.3e} is degenerate, "
+            "curvature may be ill-conditioned", ConditioningWarning, stacklevel=3)
+    return GeometrySample(p, g, det_g, g_bar, r, r_bar)
+
+
 def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
     """Metric, determinant, dimensionless factors and curvature at a point.
 
@@ -341,26 +419,58 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
                       t = beta^(eta+1)/kappa
     Bose (no ground): g_bar = A(xi),  R = -(beta^(eta+1)/2 kappa) B/A^2 > 0
     Classical:        g_bar = xi^2 f(eta), R = 0 exactly
+
+    The one-cell case of :func:`geometry_grid`.
     """
-    _require_point(model, p)
-    eta, kappa = model.eta, model.kappa
-    g = metric(model, p)  # has checked that beta^(eta+k), k = 1..3, are finite
-    scale = kappa / p.beta ** (eta + 2.0)
-    t = p.beta ** (eta + 1.0) / kappa
-    if model.statistics == CLASSICAL_IDEAL:
-        g_bar = p.xi * p.xi * limit_coefficients(eta).f
-        r = r_bar = 0.0
-    else:
-        x = -p.xi if model.statistics == FERMI_DIRAC else p.xi
-        g_bar, r_bar, r = _curvature(det_bundle(x, eta), t, model.statistics)
-    det_g = scale * (scale * g_bar)
-    if not (math.isfinite(det_g) and math.isfinite(r)):
-        raise DomainError(f"geometry_sample: det g = {det_g} or R = {r} leaves the float range")
-    if g_bar <= 0.0 or det_g < 1e-12 * (abs(g.g11 * g.g22) + g.g12 * g.g12):
-        warnings.warn(
-            f"geometry_sample: determinant factor {g_bar:.3e} is degenerate, "
-            "curvature may be ill-conditioned", ConditioningWarning, stacklevel=2)
-    return GeometrySample(p, g, det_g, g_bar, r, r_bar)
+    return _cell_sample(model, p, [None] * 4, [None] * 4)
+
+
+# --------------------------------------------------------------------------
+# grids
+# --------------------------------------------------------------------------
+
+_POINT_ERRORS = (DomainError, PolylogOverflowError, SingularMetricError)
+
+
+def _grid(model: GasModel, betas: Iterable[float], xis: Iterable[float], cell) -> Iterator:
+    # cell(model, p, column, ladder) at each point, beta outer and xi inner,
+    # or the package error it raises; the columns last as long as the
+    # generator, so memory grows with the number of xi, not of points
+    xis = [float(xi) for xi in xis]
+    columns = [[None] * 4 for _ in xis]
+    for beta in betas:
+        beta = float(beta)
+        ladder = [None] * 4
+        for xi, column in zip(xis, columns):
+            p = ThermoPoint(beta, xi)
+            try:
+                item = cell(model, p, column, ladder)
+            except _POINT_ERRORS as exc:
+                item = exc
+            yield item
+
+
+def geometry_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
+                  ) -> Iterator[Union[GeometrySample, Exception]]:
+    """:func:`geometry_sample` at every (beta, xi), beta outer and xi inner.
+
+    Yields each point's GeometrySample, or the DomainError,
+    PolylogOverflowError or SingularMetricError that geometry_sample raises
+    there; a ConditioningWarning is emitted at each point it concerns.  The
+    polylogarithms and the determinant bundle of each xi are made once, at
+    the first point of the column that needs them, and the factors
+    kappa Gamma(eta+k) / beta^(eta+k) once per beta.  Values are bit-identical
+    to geometry_sample's.  A beta or xi that is not finite and > 0 raises
+    DomainError when its point is reached.
+    """
+    return _grid(model, betas, xis, _cell_sample)
+
+
+def averages_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
+                  ) -> Iterator[Union[tuple[float, float], Exception]]:
+    """:func:`averages` at every (beta, xi), as :func:`geometry_grid` does
+    for geometry_sample: each point's (U, N) or the package error."""
+    return _grid(model, betas, xis, _cell_averages)
 
 
 def limit_coefficients(eta: float) -> LimitCoefficients:
@@ -382,6 +492,9 @@ def limit_coefficients(eta: float) -> LimitCoefficients:
 
         f = g1 g2,  f_c = g3,  h = -g1 g2 g3 / 2^(eta+2),
         h_c = (eta+2) g2^2 ((eta+4) / 2^(eta+2) - 2)
+
+    A coefficient outside the float range raises DomainError; h is the
+    first to leave it, at eta = 71.
     """
     if eta <= -1.0:
         raise DomainError(f"limit coefficients need eta > -1, got {eta}")
@@ -390,7 +503,10 @@ def limit_coefficients(eta: float) -> LimitCoefficients:
     g3 = (eta + 2.0) * g2
     inv_pow2 = 2.0 ** (-(eta + 2.0))
     h_c = (eta + 2.0) * g2 * g2 * ((eta + 4.0) * inv_pow2 - 2.0)
-    return LimitCoefficients(g1 * g2, g3, -g1 * g2 * g3 * inv_pow2, h_c)
+    out = LimitCoefficients(g1 * g2, g3, -g1 * g2 * g3 * inv_pow2, h_c)
+    if not all(map(math.isfinite, (out.f, out.f_c, out.h, out.h_c))):
+        raise DomainError(f"the low-fugacity coefficients leave the float range at eta = {eta!r}")
+    return out
 
 
 def limit_curvature(model: GasModel, beta: float) -> float:
@@ -406,13 +522,13 @@ def limit_curvature(model: GasModel, beta: float) -> float:
         raise DomainError("limit_curvature is defined for 'fd' and 'be' statistics")
     if not math.isfinite(beta) or beta < 0.0:
         raise DomainError(f"beta must be >= 0, got {beta}")
-    c = limit_coefficients(model.eta)
     try:
         t = beta ** (model.eta + 1.0) / model.kappa
     except OverflowError:
         t = math.inf
     if t == 0.0:
         return 0.0  # classical limit beta -> 0
+    c = limit_coefficients(model.eta)
     out = _curvature(DeterminantBundle(c.f, c.h, c.f_c, c.h_c), t, model.statistics)[2]
     if not math.isfinite(out):
         raise DomainError(f"the low-fugacity limit leaves the float range at beta = {beta!r}")

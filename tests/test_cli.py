@@ -1,10 +1,13 @@
 """Command-line interface tests: formats, determinism, exit codes."""
 import csv
+import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ import gasgeometry.cli as cli
 import gasgeometry.quantum_gas as qg
 import gasgeometry.verification as verification
 from gasgeometry.cli import CSV_COLUMNS, GridSpec, SweepSpec
-from gasgeometry.errors import DomainError
+from gasgeometry.errors import ConditioningWarning, DomainError
 
 
 def run(capsys, *argv):
@@ -275,6 +278,108 @@ def test_sweep_missing_grid_is_domain_error(capsys):
 
 
 # ---------------------------------------------------------------------------
+# grid path parity: a sweep evaluates each xi column once, with the same
+# bytes, error texts and warnings as evaluating every point on its own
+# ---------------------------------------------------------------------------
+
+def sweep_text(stat, eta, beta_grid, xi_grid, outputs):
+    spec = SweepSpec(qg.GasModel(stat, eta=eta), GridSpec.parse(beta_grid),
+                     GridSpec.parse(xi_grid), frozenset(outputs))
+    buf = io.StringIO()
+    cli.write_sweep([spec], buf)
+    return buf.getvalue()
+
+
+HEADER = "beta,xi,eta,kappa,stat,g11,g12,g22,det_g,g_bar,R,R_bar,U,N,error"
+LADDER = "a ladder term leaves the float range at beta = {} and xi = {}"
+TINY_XI = "9.9998886718268301e-321"  # the grid's 1e-320
+
+
+def csv_text(*rows):
+    return "".join(row + "\n" for row in (HEADER, *rows))
+
+
+# fd at eta = 1/2 over beta in {1e-300, 1, 1e300} and xi in {1e-320, 0.5}:
+# a ladder term out of range at beta = 1e-300 and 1e300, and a determinant
+# factor that underflows (SingularMetricError) at xi = 1e-320; only the
+# polylog series is reached, so no numpy kernel touches the values
+ERROR_GRID = ("fd", 0.5, "1e-300:1e300:3:log", "1e-320:0.5:2:log")
+ERROR_ROWS = (
+    f"1e-300,{TINY_XI},0.5,1,fd,,,,,,,,,," + LADDER.format("1e-300", "1e-320"),
+    "1e-300,0.5,0.5,1,fd,,,,,,,,,," + LADDER.format("1e-300", "0.5"),
+    f"1,{TINY_XI},0.5,1,fd,,,,,,,,,,determinant factor 0.0 underflows",
+    None,  # the one point that evaluates
+    f"1.0000000000000001e+300,{TINY_XI},0.5,1,fd,,,,,,,,,," + LADDER.format("1e+300", "1e-320"),
+    "1.0000000000000001e+300,0.5,0.5,1,fd,,,,,,,,,," + LADDER.format("1e+300", "0.5"),
+)
+
+
+def with_row_4(row):
+    return [row if r is None else r for r in ERROR_ROWS]
+
+
+def test_sweep_pins_a_row_for_each_caught_error():
+    assert sweep_text(*ERROR_GRID, cli.OUTPUT_CHOICES) == csv_text(*with_row_4(
+        "1,0.5,0.5,1,fd,1.5363777830772321,0.57146657894321684,0.33122929674696533,"
+        "0.18231928177726942,0.18231928177726942,-0.22626830932045383,-0.45253661864090766,"
+        "0.61455111323089295,0.3809777192954778,"))
+
+
+def test_sweep_pins_averages_alone_and_mixed_with_geometry():
+    assert sweep_text("be", 2.0, "1e-300:2:2", "0.1:0.4:2", ["averages"]) == csv_text(
+        "1e-300,0.10000000000000001,2,1,be,,,,,,,,,," + LADDER.format("1e-300", "0.1"),
+        "1e-300,0.40000000000000002,2,1,be,,,,,,,,,," + LADDER.format("1e-300", "0.4"),
+        "2,0.10000000000000001,2,1,be,,,,,,,,0.03773915741995168,0.13643328223091686,",
+        "2,0.40000000000000002,2,1,be,,,,,,,,0.15409146179365746,0.7723861217145277,")
+    assert sweep_text(*ERROR_GRID, ["gbar", "averages"]) == csv_text(*with_row_4(
+        "1,0.5,0.5,1,fd,,,,,0.18231928177726942,,,0.61455111323089295,0.3809777192954778,"))
+
+
+def test_sweep_repeats_the_det_bundle_warning_at_every_point():
+    # B keeps fewer than 8 digits at xi ~ 1e-8: each of the 3 x 2 points warns,
+    # as geometry_sample warns at each of them on its own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        text = sweep_text("fd", 0.5, "0.5:2:3", "1e-8:1e-7:2", ["curvature"])
+    assert len(text.splitlines()) - 1 == len(caught) == 6
+    assert all(w.category is ConditioningWarning
+               and str(w.message).startswith("det_bundle: B at x = -1e-0") for w in caught)
+
+
+# sha256 of fig1.csv .. fig6.csv as written before the grid path existed.
+# Their quadrature values go through numpy's exp, whose AVX-512 kernels round
+# a few last bits differently (at most 2.7e-14 relative) from its other
+# x86-64 kernels, so each of the two kernel families has its own set.
+FIGURE_DIGESTS = {
+    "x86-64, AVX-512": (
+        "fc98b8ba1b3e97e5696bcf99160c5777c66b5596aa3155160c8684e41c224f29",
+        "2a11b882e5008602c65603fd721ce01b6acc1a699c240045ee53534f63945f3b",
+        "c5da541ccfd8e471ec2bf9adce92056de89c66e760209d64ec26ef8cba5fd1d5",
+        "8b45e531b2e3e9cd545f4dd6a90693b2d40a149cf116aaad22818fa1642aace0",
+        "ce100055745f62e65610c37e708c69af8780877541d363fae19d17ddaf3dac08",
+        "fa9877b698eb64ab707092f41c625092f0abbcc95c9bf3d3ee57f22a8cc66028",
+    ),
+    "x86-64, AVX2 or baseline": (
+        "f33130e92f19207c6eace1123ed14e701e0916c80091056649c6437939e2d5dc",
+        "cc90bbcad175777b048f48bc690fe59a5946466ec13ab7baf3b3017144f3a4f9",
+        "24b080f229276f47be69f36f199e38169313faac3f70c36c89db80ff2039aa90",
+        "f40e53819facff56b6bf8cc3633e2bca32a305ceb3743bbf94d407e0a8baa5cc",
+        "30c8d1beb2c2ce2afd4edcdc1c92bfc738dbd8067729b45899651a72078ed5f1",
+        "5e023561b188b8004b0caadd0b1332d9b7accd35b7b07657162bf6239ff60ce6",
+    ),
+}
+
+
+def test_figure_csvs_keep_their_pinned_bytes(tmp_path, capsys):
+    digests = []
+    for n in range(1, 7):
+        out = tmp_path / f"fig{n}.csv"
+        assert cli.main(["figure", str(n), "--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) in FIGURE_DIGESTS.values(), digests
+
+
+# ---------------------------------------------------------------------------
 # limits
 # ---------------------------------------------------------------------------
 
@@ -292,6 +397,14 @@ def test_limits_table(capsys):
     row1 = lines[-1].split(",")
     assert float(row0[0]) == 0.0 and float(row0[1]) == 0.0 and float(row0[2]) == 0.0
     assert float(row1[1]) == pytest.approx(-0.24935, abs=1e-3)
+
+
+def test_limits_out_of_range_eta_writes_nothing(capsys):
+    # Gamma(101) Gamma(102) leaves the float range: no inf is printed
+    code, out, err = run(capsys, "limits", "--eta", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the low-fugacity coefficients leave the float range")
 
 
 def test_limits_out_of_range_beta_exits_2(capsys):

@@ -316,8 +316,10 @@ def test_cancellation_in_b_warns_at_tiny_fugacity(stat):
 
 
 def test_cancellation_in_b_warns_at_large_eta():
-    with pytest.warns(ConditioningWarning, match="det_bundle"):
-        qg.det_bundle(-1.0, 50.0)
+    with pytest.warns(ConditioningWarning, match="det_bundle") as caught:
+        bundle = qg.det_bundle(-1.0, 50.0)
+    assert bundle.warning == str(caught[0].message)
+    assert qg.det_bundle(-1.0, 0.5).warning is None
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +546,77 @@ def test_ladder_reproduces_handwritten_formulas_bit_for_bit(stat):
 
 
 # ---------------------------------------------------------------------------
+# grids: geometry_sample and averages one xi column at a time
+# ---------------------------------------------------------------------------
+
+def _point_or_error(fn, model, beta, xi):
+    try:
+        return fn(model, qg.ThermoPoint(beta, xi))
+    except (DomainError, PolylogOverflowError, SingularMetricError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _grid_items(grid):
+    return [f"{type(item).__name__}: {item}" if isinstance(item, Exception) else item
+            for item in grid]
+
+
+@pytest.mark.parametrize("stat, xis", [
+    ("fd", [1e-320, 0.3, 4.0]), ("be", [0.2, 0.9, 1.5]), ("be0", [0.2, 0.9]),
+    ("classical", [0.2, 3.0]),
+])
+def test_grids_equal_their_point_functions_at_every_point(stat, xis):
+    # beta outer, xi inner; each error is yielded in place, with its text
+    model = qg.GasModel(stat, eta=0.5)
+    betas = [1e-300, 0.7, 3.0, 1e300]
+    points = [(b, x) for b in betas for x in xis]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        samples = _grid_items(qg.geometry_grid(model, betas, xis))
+        means = _grid_items(qg.averages_grid(model, betas, xis))
+        assert samples == [_point_or_error(qg.geometry_sample, model, b, x) for b, x in points]
+        assert means == [_point_or_error(qg.averages, model, b, x) for b, x in points]
+    assert any(isinstance(s, qg.GeometrySample) for s in samples)
+    assert any(isinstance(s, str) for s in samples)
+
+
+def test_grid_builds_no_bundle_for_a_column_of_failing_points():
+    # Gamma(201) overflows, so every rung fails its range check before the
+    # bundle, which would warn at xi = 1e-12, is made
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        items = list(qg.geometry_grid(qg.GasModel("fd", eta=200.0), [1.0, 2.0], [1e-12, 0.5]))
+    assert [type(item) for item in items] == [DomainError] * 4
+
+
+def test_grid_is_lazy_and_rejects_a_bad_beta_when_it_reaches_it():
+    grid = qg.geometry_grid(qg.GasModel("fd"), [1.0, -1.0], [0.5])
+    assert isinstance(next(grid), qg.GeometrySample)
+    with pytest.raises(DomainError):
+        next(grid)
+
+
+# ---------------------------------------------------------------------------
 # limit coefficients and limit curvature
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eta", [71.0, 100.0, 170.0])
+def test_limit_coefficients_outside_the_float_range_raise(eta):
+    # h = -g1 g2 g3 / 2^(eta+2) overflows first, at eta = 71; f at eta ~ 99
+    with pytest.raises(DomainError, match="float range"):
+        qg.limit_coefficients(eta)
+    assert qg.limit_curvature(qg.GasModel("fd", eta=eta), 0.0) == 0.0
+    with pytest.raises(DomainError):
+        qg.limit_curvature(qg.GasModel("be", eta=eta), 1.0)
+
+
+def test_limit_coefficients_keep_the_float_range_below_eta_71():
+    c = qg.limit_coefficients(70.0)
+    assert all(math.isfinite(v) for v in (c.f, c.f_c, c.h, c.h_c))
+    # the classical determinant needs only f, which stays finite to eta ~ 99
+    s = qg.geometry_sample(qg.GasModel("classical", eta=80.0), qg.ThermoPoint(1.0, 0.5))
+    assert s.g_bar == pytest.approx(0.25 * gamma_real(81.0) * gamma_real(82.0), rel=1e-15)
+
 
 def test_limit_coefficients_integer_eta_exact():
     c = qg.limit_coefficients(2.0)
