@@ -26,9 +26,8 @@ from .quantum_gas import (BOSE_EINSTEIN, BOSE_EINSTEIN_NO_GROUND,
                           CLASSICAL_IDEAL, FERMI_DIRAC, STATISTICS,
                           DensityOfStatesEntry, DeterminantBundle, GasModel,
                           GeometrySample, LimitCoefficients, ThermoPoint,
-                          averages, averages_grid, det_bundle, dos_catalog,
-                          free_energy, free_energy_field, geometry_grid,
-                          geometry_sample,
+                          averages, det_bundle, dos_catalog, free_energy,
+                          free_energy_field, geometry_grid, geometry_sample,
                           ground_state_occupation, limit_coefficients,
                           limit_curvature, metric, metric_field)
 from .special_functions import (gamma_real, polylog, polylog_quadrature,
@@ -47,7 +46,7 @@ __all__ = [
     "FERMI_DIRAC", "STATISTICS",
     "DensityOfStatesEntry", "DeterminantBundle", "GasModel", "GeometrySample",
     "LimitCoefficients", "ThermoPoint",
-    "averages", "averages_grid", "det_bundle", "dos_catalog", "free_energy",
+    "averages", "det_bundle", "dos_catalog", "free_energy",
     "free_energy_field", "geometry_grid", "geometry_sample",
     "ground_state_occupation", "limit_coefficients", "limit_curvature",
     "metric", "metric_field",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -114,39 +113,31 @@ class SweepSpec:
 
 
 def _rows(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[dict[str, str]]:
-    # CSV rows, beta outer and xi inner; the cells come from one pass of
-    # geometry_grid and one of averages_grid, each run only if outputs ask
-    betas = [float(beta) for beta in betas]
-    xis = [float(xi) for xi in xis]
-    skip = itertools.repeat(None)
-    samples = quantum_gas.geometry_grid(model, betas, xis) if outputs - {"averages"} else skip
-    means = quantum_gas.averages_grid(model, betas, xis) if "averages" in outputs else skip
-    blank = dict.fromkeys(CSV_COLUMNS, "")
-    blank.update(eta=_fmt(model.eta), kappa=_fmt(model.kappa), stat=model.statistics)
-    xi_cells = [_fmt(xi) for xi in xis]
-    for beta in betas:
-        head = dict(blank, beta=_fmt(beta))
-        for xi in xi_cells:
-            yield _record(dict(head, xi=xi), outputs, next(samples), next(means))
+    # CSV rows, beta outer and xi inner, from one pass of the grid, which
+    # evaluates the geometry and the averages only if outputs ask for them
+    grid = quantum_gas._grid(model, betas, xis, geometry=bool(outputs - {"averages"}),
+                             averages="averages" in outputs)
+    return (_record(model, point, outputs, *item) for point, *item in grid)
 
 
-def _record(row: dict[str, str], outputs: frozenset[str], sample, means) -> dict[str, str]:
-    # sample and means: a grid's item at this point, None where not asked;
-    # a failed sample ends the point, and cells computed before a failure
-    # are still reported
+def _record(model: GasModel, p: ThermoPoint, outputs: frozenset[str],
+            sample, means, error) -> dict[str, str]:
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row["beta"] = _fmt(p.beta)
+    row["xi"] = _fmt(p.xi)
+    row["eta"] = _fmt(model.eta)
+    row["kappa"] = _fmt(model.kappa)
+    row["stat"] = model.statistics
     cells = {}
-    error = sample if isinstance(sample, Exception) else None
-    if sample is not None and error is None:
+    if sample is not None:
         g = sample.metric
         cells = {"g11": g.g11, "g12": g.g12, "g22": g.g22, "det_g": sample.det_g,
                  "g_bar": sample.g_bar, "R": sample.R, "R_bar": sample.R_bar}
-    if means is not None and error is None:
-        if isinstance(means, Exception):
-            error = means
-        else:
-            cells["U"], cells["N"] = means
+    if means is not None:
+        cells["U"], cells["N"] = means
     if error is not None:
         row["error"] = str(error).replace(",", ";")
+    # cells computed before a failure are still reported
     for name in outputs:
         for column in OUTPUT_COLUMNS[name]:
             if column in cells:

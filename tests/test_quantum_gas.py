@@ -561,6 +561,11 @@ def _grid_items(grid):
             for item in grid]
 
 
+def _sweep_items(grid):
+    # a sweep grid's (sample, means, error), with the error as its text
+    return [(s, m, None if e is None else f"{type(e).__name__}: {e}") for _, s, m, e in grid]
+
+
 @pytest.mark.parametrize("stat, xis", [
     ("fd", [1e-320, 0.3, 4.0]), ("be", [0.2, 0.9, 1.5]), ("be0", [0.2, 0.9]),
     ("classical", [0.2, 3.0]),
@@ -573,11 +578,19 @@ def test_grids_equal_their_point_functions_at_every_point(stat, xis):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         samples = _grid_items(qg.geometry_grid(model, betas, xis))
-        means = _grid_items(qg.averages_grid(model, betas, xis))
+        means = [_point_or_error(qg.averages, model, b, x) for b, x in points]
         assert samples == [_point_or_error(qg.geometry_sample, model, b, x) for b, x in points]
-        assert means == [_point_or_error(qg.averages, model, b, x) for b, x in points]
+        # the sweep grid: averages alone, and after the geometry from the
+        # same columns, where a point whose geometry fails computes none
+        assert _sweep_items(qg._grid(model, betas, xis, geometry=False, averages=True)) == [
+            (None, None, m) if isinstance(m, str) else (None, m, None) for m in means]
+        assert _sweep_items(qg._grid(model, betas, xis, averages=True)) == [
+            (None, None, s) if isinstance(s, str) else
+            (s, None, m) if isinstance(m, str) else (s, m, None)
+            for s, m in zip(samples, means)]
     assert any(isinstance(s, qg.GeometrySample) for s in samples)
     assert any(isinstance(s, str) for s in samples)
+    assert any(isinstance(m, str) for m in means) and any(isinstance(m, tuple) for m in means)
 
 
 def test_grid_builds_no_bundle_for_a_column_of_failing_points():
