@@ -31,6 +31,7 @@ the package's :class:`DomainError` contract, and neither needs scipy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -59,9 +60,12 @@ _DE_EDGE = 15.0  # scale above which the map is compressed by r = _DE_EDGE/scale
 _DE_H = 0.02
 _DE_T = _DE_H * np.arange(-2000, 130)
 _DE_S = 0.5 * math.pi * np.sinh(_DE_T)
+_DE_S_FLOATS = tuple(_DE_S.tolist())  # for bisect, ~1 us faster than searchsorted
+_DE_EXP_S = np.exp(_DE_S)  # u/scale at r = 1
 _DE_LOG_W = np.log(_DE_H * 0.5 * math.pi * np.cosh(_DE_T))
 _DE_T.setflags(write=False)
 _DE_S.setflags(write=False)
+_DE_EXP_S.setflags(write=False)
 _DE_LOG_W.setflags(write=False)
 
 
@@ -202,21 +206,51 @@ def _de_rule(y: float, phi: float, lower: bool) -> float:
     r = min(1.0, _DE_EDGE / scale)
     p1 = phi + 1.0
     head = math.log(min(1.0, c)) if y > 0.0 else 0.0
-    start = int(_DE_S.searchsorted((head - 45.0 / p1) / r))
-    s = r * _DE_S[start:]
-    v = scale * np.exp(s) + c
-    if y > 0.0:
-        log_k = -v - 2.0 * np.log(-np.expm1(-v))
+    start = bisect_left(_DE_S_FLOATS, (head - 45.0 / p1) / r)
+    # At a few hundred nodes numpy's per-call overhead outweighs the
+    # arithmetic, so the passes run in place on buffers owned by this call.
+    # Each keeps the operand order of
+    #   v = scale e^s + c,  terms = e^(p1 (ln scale + s) + ln K + ln w - ln Gamma(p1)),
+    # and the skipped 1.0 * e^s and 0.0 + s are exact, as are the sign flips
+    # of nv = -c - scale e^s = -v, so no bit changes.
+    if r == 1.0:  # every Bose y and Fermi |y| <= e^15
+        s = _DE_S[start:]
+        e = _DE_EXP_S[start:]
     else:
-        a = np.abs(v)
-        log_k = -a - 2.0 * np.log1p(np.exp(-a))
+        s = np.multiply(_DE_S[start:], r)
+        e = np.exp(s)
+    if scale == 1.0:
+        nv = np.subtract(-c, e)
+        x = np.multiply(s, p1)
+    else:
+        nv = np.multiply(e, scale)
+        np.subtract(-c, nv, out=nv)
+        x = np.add(s, math.log(scale))
+        x *= p1
+    if y > 0.0:  # ln K = -v - 2 ln(-expm1(-v))
+        a = nv
+        k = np.expm1(nv)
+        np.negative(k, out=k)
+        np.log(k, out=k)
+    else:  # ln K = -|v| - 2 ln(1 + e^-|v|)
+        a = np.copysign(nv, -1.0)
+        k = np.exp(a)
+        np.log1p(k, out=k)
+    k += k
+    np.subtract(a, k, out=k)
+    x += k
+    x += _DE_LOG_W[start:]
     # ln Gamma(p1): math.lgamma alone is off by up to 1.8e-15 absolute on [1, 6]
-    log_gamma = math.log(math.gamma(p1)) if p1 < 171.0 else math.lgamma(p1)
-    terms = np.exp(p1 * (math.log(scale) + s) + log_k + _DE_LOG_W[start:] - log_gamma)
+    x -= math.log(math.gamma(p1)) if p1 < 171.0 else math.lgamma(p1)
+    terms = np.exp(x, out=x)
     if lower:  # times -d ln K/dv: coth(v/2) for Bose, tanh(v/2) for Fermi
-        half = np.tanh(0.5 * v)
-        terms = terms / half if y > 0.0 else terms * half
-    return (r if y > 0.0 else -r) * float(np.sum(terms))
+        nv *= -0.5
+        half = np.tanh(nv, out=nv)
+        if y > 0.0:
+            terms /= half
+        else:
+            terms *= half
+    return (r if y > 0.0 else -r) * float(np.add.reduce(terms))
 
 
 def polylog_quadrature(y: float, phi: float) -> float:
@@ -312,7 +346,11 @@ def polylog_step_down(y: float, phi: float) -> float:
     differentiates the integral of :func:`polylog_quadrature` exactly:
     each node of its rule is multiplied by -d ln K/dv, coth(v/2) for Bose
     and tanh(v/2) for Fermi y.  Relative error <= 1e-13 against mpmath on
-    y in [-1e4, 1 - 1e-8]; below, the sign change of tanh at the Fermi edge
-    u ~ ln|y| cancels ~ln|y| of it (4e-12 at y = -1e300).
+    y in [-1e4, 1 - 1e-8], except near the zero that Li(y, s) has on the
+    Fermi side at an order s just below -1 (Li(-1000, -1.0064) = 2.2e-6,
+    Li(-1000, -1) = -1.0e-3).  There the error is absolute,
+    <= 1e-15 |Li(y, phi)|, the size of the terms that cancel (relative
+    1.5e-11 at (-1000, -0.0064)).  Below -1e4 the sign change of tanh at
+    the Fermi edge u ~ ln|y| cancels ~ln|y| of it (4e-12 at y = -1e300).
     """
     return _de_rule(y, phi, lower=True)

@@ -385,6 +385,74 @@ def test_polylog_step_down_against_mpmath():
             assert rel < 1e-13, (y, phi, rel)
 
 
+def test_step_down_near_its_fermi_zero():
+    # Li(y, s) changes sign at an order s just below -1 on the Fermi side
+    # (Li(-1000, -1.0064) = 2.2e-6, Li(-1000, -1) = -1.0e-3), so near it the
+    # error is absolute: that of the tanh-weighted sum of terms of size
+    # |Li(y, phi)| ~ 1, while the relative error reaches 1.5e-11
+    for y, phi in ((-1000.0, -0.0064), (-1e4, -0.001), (-3162.28, -0.003)):
+        with mp.workdps(60):
+            ref = mp.re(mp.polylog(mp.mpf(phi) - 1, mp.mpf(y)))
+            err = float(abs(sf.polylog_step_down(y, phi) - ref))
+        assert err <= 1e-15 * abs(sf.polylog(y, phi)), (y, phi, err)
+
+
+def _de_rule_reference(y, phi, lower):
+    # the rule as one numpy expression per pass, with fresh arrays throughout
+    y, phi = sf._validate(y, phi)
+    c = -math.log(abs(y))
+    scale = max(1.0, -c) if y < 0.0 else 1.0
+    r = min(1.0, sf._DE_EDGE / scale)
+    p1 = phi + 1.0
+    head = math.log(min(1.0, c)) if y > 0.0 else 0.0
+    start = int(sf._DE_S.searchsorted((head - 45.0 / p1) / r))
+    s = r * sf._DE_S[start:]
+    v = scale * np.exp(s) + c
+    if y > 0.0:
+        log_k = -v - 2.0 * np.log(-np.expm1(-v))
+    else:
+        a = np.abs(v)
+        log_k = -a - 2.0 * np.log1p(np.exp(-a))
+    log_gamma = math.log(math.gamma(p1)) if p1 < 171.0 else math.lgamma(p1)
+    terms = np.exp(p1 * (math.log(scale) + s) + log_k + sf._DE_LOG_W[start:] - log_gamma)
+    if lower:
+        half = np.tanh(0.5 * v)
+        terms = terms / half if y > 0.0 else terms * half
+    return (r if y > 0.0 else -r) * float(np.sum(terms))
+
+
+def _rule_parity_points():
+    # each y kind: Bose mid-range, Bose edge, Fermi |y| <= e (scale 1),
+    # e < |y| <= e^15 (scale > 1, r = 1), beyond (r < 1) up to 1e300
+    rng = np.random.default_rng(20261019)
+    kinds = (
+        lambda: float(rng.uniform(0.5, 1.0 - 1e-3)),
+        lambda: 1.0 - float(10 ** rng.uniform(-8.0, -3.0)),
+        lambda: -float(rng.uniform(0.5, math.e)),
+        lambda: -math.exp(float(rng.uniform(1.0, 15.0))),
+        lambda: -float(10 ** rng.uniform(15.0 / math.log(10.0), 300.0)),
+    )
+    for kind in kinds:
+        for _ in range(40):
+            yield kind(), float(rng.uniform(-0.99, 6.0)), bool(rng.integers(2))
+        for _ in range(8):  # phi -> -1+: the sum starts at the first node (2,130 of them)
+            yield kind(), -1.0 + float(10 ** rng.uniform(-12.0, -2.0)), bool(rng.integers(2))
+        for _ in range(8):
+            yield kind(), float(rng.uniform(6.0, 150.0)), bool(rng.integers(2))
+
+
+def test_rule_matches_its_plain_form_bit_for_bit():
+    # The in-place passes must not move a bit.  Both sides run on the same
+    # numpy kernels, which round differently on different CPUs, so the test
+    # compares the two forms instead of pinning hex literals.
+    points = list(_rule_parity_points())
+    assert len(points) == 280
+    for y, phi, lower in points:
+        got = sf._de_rule(y, phi, lower)
+        want = _de_rule_reference(y, phi, lower)
+        assert got.hex() == want.hex(), (y, phi, lower, got, want)
+
+
 def test_polylog_thread_safety():
     # pure and re-entrant: concurrent evaluation must match serial results
     from concurrent.futures import ThreadPoolExecutor
@@ -398,10 +466,18 @@ def test_polylog_thread_safety():
 
 
 def test_quadrature_nodes_are_read_only():
-    # every caller shares the module-level node arrays
-    for nodes in (sf._DE_T, sf._DE_S, sf._DE_LOG_W):
+    # every caller shares the module-level node arrays, and the rule reads
+    # slices of them (views) in the passes it runs in place
+    tables = (sf._DE_T, sf._DE_S, sf._DE_EXP_S, sf._DE_LOG_W)
+    for nodes in tables:
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+    before = [nodes.copy() for nodes in tables]
+    for y, phi, lower in _rule_parity_points():
+        sf._de_rule(y, phi, lower)
+    for nodes, copy in zip(tables, before):
+        assert np.array_equal(nodes, copy)
+    assert sf._DE_S_FLOATS == tuple(sf._DE_S.tolist())  # the nodes the rule bisects
 
 
 def test_derivative_identity_on_random_points():
