@@ -112,12 +112,16 @@ class SweepSpec:
                 raise DomainError("Bose statistics need a xi grid inside (0, 1)")
 
 
-def _rows(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[dict[str, str]]:
-    # CSV rows, beta outer and xi inner, from one pass of the grid, which
-    # evaluates the geometry and the averages only if outputs ask for them
-    grid = quantum_gas._grid(model, betas, xis, geometry=bool(outputs - {"averages"}),
+def _cells(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[tuple]:
+    # (point, sample, means, error), beta outer and xi inner, from one pass of the
+    # grid, which evaluates only what outputs ask for: geometry, averages or both
+    return quantum_gas._grid(model, betas, xis, geometry=bool(outputs - {"averages"}),
                              averages="averages" in outputs)
-    return (_record(model, point, outputs, *item) for point, *item in grid)
+
+
+def _rows(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[dict[str, str]]:
+    return (_record(model, point, outputs, *item)
+            for point, *item in _cells(model, betas, xis, outputs))
 
 
 def _record(model: GasModel, p: ThermoPoint, outputs: frozenset[str],
@@ -143,10 +147,6 @@ def _record(model: GasModel, p: ThermoPoint, outputs: frozenset[str],
             if column in cells:
                 row[column] = _fmt(cells[column])
     return row
-
-
-def _point_record(model: GasModel, p: ThermoPoint, outputs: frozenset[str]) -> dict[str, str]:
-    return next(_rows(model, (p.beta,), (p.xi,), outputs))  # the one-cell grid
 
 
 def sweep_rows(spec: SweepSpec) -> Iterator[dict[str, str]]:
@@ -202,9 +202,11 @@ FIGURE_PRESETS: dict[int, list[SweepSpec]] = {
 def cmd_eval(args) -> int:
     model = GasModel(args.stat, eta=args.eta, kappa=args.kappa)
     outputs = frozenset(args.outputs or OUTPUT_CHOICES)
-    row = _point_record(model, ThermoPoint(args.beta, args.xi), outputs)
-    if row["error"]:
-        raise DomainError(row["error"])
+    # the one-cell grid, whose own error is raised, not the sweep's error cell
+    point, sample, means, error = next(_cells(model, (args.beta,), (args.xi,), outputs))
+    if error is not None:
+        raise error
+    row = _record(model, point, outputs, sample, means, None)
     print("\n".join(f"{key}={value}" for key, value in row.items() if value))
     return 0
 
@@ -251,15 +253,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_limits(args) -> int:
     coeffs = quantum_gas.limit_coefficients(args.eta)
-    print(f"eta={_fmt(args.eta)}")
-    print(f"kappa={_fmt(args.kappa)}")
-    for name in ("f", "f_c", "h", "h_c"):
-        print(f"{name}={_fmt(getattr(coeffs, name))}")
     models = [GasModel(stat, eta=args.eta, kappa=args.kappa) for stat in ("fd", "be")]
-    print("beta,R_limit_fd,R_limit_be")
-    for beta in args.beta:
+    lines = [f"eta={_fmt(args.eta)}", f"kappa={_fmt(args.kappa)}",
+             *(f"{name}={_fmt(getattr(coeffs, name))}" for name in ("f", "f_c", "h", "h_c")),
+             "beta,R_limit_fd,R_limit_be"]
+    for beta in args.beta:  # every row is made before any is printed
         limits = [quantum_gas.limit_curvature(m, beta) for m in models]
-        print(",".join(_fmt(v) for v in (beta, *limits)))
+        lines.append(",".join(_fmt(v) for v in (beta, *limits)))
+    print("\n".join(lines))
     return 0
 
 

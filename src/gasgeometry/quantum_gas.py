@@ -305,6 +305,13 @@ def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
 # determinant bundles and curvature
 # --------------------------------------------------------------------------
 
+def _gammas(eta: float) -> tuple[float, float, float]:
+    # (g1, g2, g3), g_k = Gamma(eta+k), from one Gamma evaluation and the recurrence
+    g1 = gamma_real(eta + 1.0)
+    g2 = (eta + 1.0) * g1
+    return g1, g2, (eta + 2.0) * g2
+
+
 def det_bundle(x: float, eta: float) -> DeterminantBundle:
     """Evaluate the determinant factors A, B (and A_c, B_c for 0 < x < 1).
 
@@ -331,9 +338,7 @@ def det_bundle(x: float, eta: float) -> DeterminantBundle:
         raise DomainError(f"det_bundle requires x < 1, got {x}")
     if eta <= -1.0:
         raise DomainError(f"det_bundle requires eta > -1, got {eta}")
-    g1 = gamma_real(eta + 1.0)
-    g2 = (eta + 1.0) * g1
-    g3 = (eta + 2.0) * g2
+    g1, g2, g3 = _gammas(eta)
     # order eta - 1 drops below the direct polylog domain when eta < 0
     # (e.g. the one-dimensional box); step down from order eta instead
     l_m1 = polylog(x, eta - 1.0) if eta >= 0.0 else polylog_step_down(x, eta)
@@ -380,7 +385,8 @@ def _cell_sample(model: GasModel, p: ThermoPoint, column: list,
     scale = kappa / p.beta ** (eta + 2.0)
     t = p.beta ** (eta + 1.0) / kappa
     if model.statistics == CLASSICAL_IDEAL:
-        g_bar = p.xi * p.xi * _leading_gammas(eta)[2]  # needs f only, not h
+        g1, g2, _ = _gammas(eta)
+        g_bar = p.xi * p.xi * (g1 * g2)  # xi^2 f, with f = g1 g2 as in limit_coefficients
         r = r_bar = 0.0
     else:
         # the bundle is made only once a point of the column passes the range
@@ -466,14 +472,6 @@ def geometry_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
         yield sample if error is None else error
 
 
-def _leading_gammas(eta: float) -> tuple[float, float, float]:
-    # (g1, g2, f): g_k = Gamma(eta+k) by the recurrence and f = g1 g2, the
-    # x^2 coefficient of A and the classical g_bar / xi^2
-    g1 = gamma_real(eta + 1.0)
-    g2 = (eta + 1.0) * g1
-    return g1, g2, g1 * g2
-
-
 def limit_coefficients(eta: float) -> LimitCoefficients:
     """Leading small-x coefficients of the bundles.
 
@@ -499,11 +497,10 @@ def limit_coefficients(eta: float) -> LimitCoefficients:
     """
     if eta <= -1.0:
         raise DomainError(f"limit coefficients need eta > -1, got {eta}")
-    g1, g2, f = _leading_gammas(eta)
-    g3 = (eta + 2.0) * g2
+    g1, g2, g3 = _gammas(eta)
     inv_pow2 = 2.0 ** (-(eta + 2.0))
     h_c = (eta + 2.0) * g2 * g2 * ((eta + 4.0) * inv_pow2 - 2.0)
-    out = LimitCoefficients(f, g3, -g1 * g2 * g3 * inv_pow2, h_c)
+    out = LimitCoefficients(g1 * g2, g3, -g1 * g2 * g3 * inv_pow2, h_c)
     if not all(map(math.isfinite, (out.f, out.f_c, out.h, out.h_c))):
         raise DomainError(f"the low-fugacity coefficients leave the float range at eta = {eta!r}")
     return out

@@ -4,9 +4,9 @@ Each suite pits one computational route against another that shares no
 code path with it (series vs quadrature, closed form vs finite
 differences, determinant vs Christoffel contraction, product form vs
 brute enumeration) and reports the worst observed deviation against the
-suite tolerance.  ``run_suites`` drives all nine at one level; the CLI
-``verify`` subcommand is a thin wrapper.  The package loads no scipy
-module, so scipy's adaptive ``quad`` is not an oracle here.
+suite tolerance.  ``SUITES`` lists the nine suites in the order
+``run_suites`` runs them; the CLI ``verify`` subcommand is a thin wrapper.
+The package loads no scipy module, so scipy's ``quad`` is not an oracle here.
 
 All sampling is deterministic (fixed seeds, fixed grids); random points
 come from the standard library's ``random``, not ``numpy.random``, whose
@@ -47,41 +47,10 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def suite_polylog_identities(full: bool = False) -> SuiteResult:
-    """Closed forms, the order-lowering identity and series vs quadrature.
-
-    With ``full`` it checks instead the condensation edge and the Fermi rule
-    at y < -1, each against identities that tie it to another regime.
-    """
+def suite_polylog_identities() -> SuiteResult:
+    """Closed forms, the order-lowering identity and series vs quadrature."""
     tol = 1e-6
     worst = 0.0
-    if full:
-        # condensation edge against the step-down route
-        for phi in (1.5, 2.0, 2.5, 3.0, 4.0):
-            y = 1.0 - 1e-6
-            worst = max(worst, _rel(polylog(y, phi - 1.0), polylog_step_down(y, phi)))
-        # Euler's reflection ties order 2 at the edge to the series regime
-        for y in (1.0 - 1e-6, 1.0 - 1e-8):
-            x = 1.0 - y  # exact, so x and y sum to one
-            worst = max(worst, _rel(polylog(y, 2.0) + polylog(x, 2.0),
-                                    math.pi**2 / 6.0 - math.log(y) * math.log(x)))
-        # Lewin's inversion formulas tie the Fermi rule at -x to the series at -1/x
-        for x in (4.0, 1e2, 1e4, 1e8):
-            ln, pi2 = math.log(x), math.pi**2
-            worst = max(worst,
-                        _rel(polylog(-x, 2.0) + polylog(-1.0 / x, 2.0), -pi2 / 6.0 - ln**2 / 2.0),
-                        _rel(polylog(-x, 3.0) - polylog(-1.0 / x, 3.0), -pi2 * ln / 6.0 - ln**3 / 6.0),
-                        _rel(polylog(-x, 4.0) + polylog(-1.0 / x, 4.0),
-                             -7.0 * pi2**2 / 360.0 - pi2 * ln**2 / 12.0 - ln**4 / 24.0))
-        # duplication Li(y) + Li(-y) = 2^(1-phi) Li(y^2) ties the edge regime
-        # to the Fermi rule; y = 1 - 2^-k keeps y^2 exact
-        for k in (10, 14, 20):
-            y = 1.0 - 2.0**-k
-            for phi in (0.3, 0.7, 1.5, 2.5, 3.3, 4.5):
-                worst = max(worst, _rel(polylog(y, phi) + polylog(-y, phi),
-                                        2.0 ** (1.0 - phi) * polylog(y * y, phi)))
-        return _result("polylog identities", tol, worst,
-                       "edge step-down, Euler's reflection, Lewin's inversion and duplication")
     # closed forms at integer orders
     for y in (-3.0, -0.9, -0.3, 0.3, 0.5, 0.9, 0.99):
         worst = max(worst, _rel(polylog(y, 1.0), -math.log1p(-y)))
@@ -102,6 +71,38 @@ def suite_polylog_identities(full: bool = False) -> SuiteResult:
         for phi in grid_phi:
             worst = max(worst, _rel(polylog_series(y, phi), polylog_quadrature(y, phi)))
     return _result("polylog identities", tol, worst)
+
+
+def suite_polylog_edge_identities() -> SuiteResult:
+    """The condensation edge and the Fermi rule at y < -1, tied to other regimes."""
+    tol = 1e-6
+    worst = 0.0
+    # condensation edge against the step-down route
+    for phi in (1.5, 2.0, 2.5, 3.0, 4.0):
+        y = 1.0 - 1e-6
+        worst = max(worst, _rel(polylog(y, phi - 1.0), polylog_step_down(y, phi)))
+    # Euler's reflection ties order 2 at the edge to the series regime
+    for y in (1.0 - 1e-6, 1.0 - 1e-8):
+        x = 1.0 - y  # exact, so x and y sum to one
+        worst = max(worst, _rel(polylog(y, 2.0) + polylog(x, 2.0),
+                                math.pi**2 / 6.0 - math.log(y) * math.log(x)))
+    # Lewin's inversion formulas tie the Fermi rule at -x to the series at -1/x
+    for x in (4.0, 1e2, 1e4, 1e8):
+        ln, pi2 = math.log(x), math.pi**2
+        worst = max(worst,
+                    _rel(polylog(-x, 2.0) + polylog(-1.0 / x, 2.0), -pi2 / 6.0 - ln**2 / 2.0),
+                    _rel(polylog(-x, 3.0) - polylog(-1.0 / x, 3.0), -pi2 * ln / 6.0 - ln**3 / 6.0),
+                    _rel(polylog(-x, 4.0) + polylog(-1.0 / x, 4.0),
+                         -7.0 * pi2**2 / 360.0 - pi2 * ln**2 / 12.0 - ln**4 / 24.0))
+    # duplication Li(y) + Li(-y) = 2^(1-phi) Li(y^2) ties the edge regime
+    # to the Fermi rule; y = 1 - 2^-k keeps y^2 exact
+    for k in (10, 14, 20):
+        y = 1.0 - 2.0**-k
+        for phi in (0.3, 0.7, 1.5, 2.5, 3.3, 4.5):
+            worst = max(worst, _rel(polylog(y, phi) + polylog(-y, phi),
+                                    2.0 ** (1.0 - phi) * polylog(y * y, phi)))
+    return _result("polylog identities", tol, worst,
+                   "edge step-down, Euler's reflection, Lewin's inversion and duplication")
 
 
 def _fock_fixtures() -> Iterable[FockEnsembleSpec]:
@@ -286,13 +287,14 @@ SUITES: dict[str, Callable[[], SuiteResult]] = {
     "classical": suite_classical_flatness,
     "fd-negativity": suite_fd_negativity,
     "limits": suite_limit_asymptotics,
+    "polylog-edge": suite_polylog_edge_identities,
+    "condensation": suite_condensation_edge,
 }
 
 
 def run_suites(level: str = "full") -> list[SuiteResult]:
-    """Run the nine suites: ``SUITES``, the polylog edge identities and the
-    condensation edge.  ``"full"`` is the only level."""
+    """Run every suite of ``SUITES``, in its order.  ``"full"`` is the only
+    level."""
     if level != "full":
         raise ValueError(f"level must be 'full', got {level!r}")
-    return [*(suite() for suite in SUITES.values()),
-            suite_polylog_identities(full=True), suite_condensation_edge()]
+    return [suite() for suite in SUITES.values()]

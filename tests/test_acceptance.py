@@ -183,20 +183,19 @@ def _curvature(new_r, stat=None):
 
 
 def test_run_suites_has_one_level_of_plain_results():
+    assert list(verification.SUITES) == [
+        "polylog", "fock", "metric", "curvature", "classical", "fd-negativity",
+        "limits", "polylog-edge", "condensation"]
     results = verification.run_suites()
     assert [r.name for r in results] == [r.name for r in verification.run_suites("full")]
-    assert len(results) == 9 and results[-1].name == "condensation edge"
+    assert len(results) == len(verification.SUITES) and results[-1].name == "condensation edge"
     for r in results:
         assert type(r.passed) is bool and type(r.max_deviation) is float, r
     with pytest.raises(ValueError):
         verification.run_suites("fast")
 
 
-FULL_SUITES = {**verification.SUITES,
-               "polylog-full": lambda: verification.suite_polylog_identities(full=True),
-               "condensation": verification.suite_condensation_edge}
-
-# id: (suite, module, patched name, fault)
+# id: (SUITES key, module, patched name, fault)
 FAULTS = {
     "polylog": ("polylog", verification, "polylog", _times(1 + 2e-6)),
     "fock-identity-1": ("fock", gc, "fock_moments", _moments_times(1.0, 1 + 2e-8)),
@@ -209,7 +208,7 @@ FAULTS = {
     "classical-numeric": ("classical", gc, "scalar_curvature_det", _plus(2e-8)),
     "fd-negativity": ("fd-negativity", qg, "geometry_sample", _curvature(lambda r: -r, "fd")),
     "limits": ("limits", qg, "limit_curvature", _times(1 + 2e-3)),
-    "polylog-full": ("polylog-full", verification, "polylog", _times(1 + 2e-6)),
+    "polylog-edge": ("polylog-edge", verification, "polylog", _times(1 + 2e-6)),
     # a ground-state curvature held flat below the edge bound
     "condensation-flat": ("condensation", qg, "geometry_sample", _curvature(lambda r: 7e-7, "be")),
     "condensation-edge-bound": ("condensation", qg, "geometry_sample",
@@ -221,6 +220,6 @@ FAULTS = {
 def test_suite_fails_on_injected_fault(fault, monkeypatch):
     suite, module, name, wrap = FAULTS[fault]
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
-    result = FULL_SUITES[suite]()
+    result = verification.SUITES[suite]()
     assert result.passed is False, result
     assert type(result.max_deviation) is float, result

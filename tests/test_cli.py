@@ -72,10 +72,12 @@ def test_eval_matches_library_bit_for_bit(capsys):
 
 
 def test_eval_domain_violation_exits_2(capsys):
-    code, _, err = run(capsys, "eval", "--stat", "be", "--eta", "0.5",
-                       "--beta", "1", "--xi", "1.5")
+    code, out, err = run(capsys, "eval", "--stat", "be", "--eta", "0.5",
+                         "--beta", "1", "--xi", "1.5")
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    # the library's own text, not the sweep's error cell with its commas made ';'
+    assert err == "error: Bose-Einstein statistics require xi < 1, got xi = 1.5\n"
 
 
 @pytest.mark.parametrize("beta, xi", [("1e-300", "0.5"), ("1e200", "0.5"), ("1", "1e-300")])
@@ -121,10 +123,14 @@ def test_sweep_spec_respects_bose_domain():
         SweepSpec(model, GridSpec(0.5, 2.0, 2), GridSpec(0.1, 1.1, 3), frozenset({"det"}))
 
 
+def point_record(model, p, outputs):
+    return next(cli._rows(model, (p.beta,), (p.xi,), outputs))  # the one-cell grid
+
+
 def test_point_record_error_column():
-    row = cli._point_record(qg.GasModel("be", eta=0.5), qg.ThermoPoint(1.0, 1.2),
-                            frozenset({"curvature"}))
-    assert row["error"] != ""
+    row = point_record(qg.GasModel("be", eta=0.5), qg.ThermoPoint(1.0, 1.2),
+                       frozenset({"curvature"}))
+    assert row["error"] == "Bose-Einstein statistics require xi < 1; got xi = 1.2"
     assert row["R"] == ""
     assert row["beta"] == "1"
 
@@ -355,7 +361,7 @@ def test_figure_rows_equal_their_points_evaluated_one_at_a_time():
                       for b in spec.beta_grid.values() for x in spec.xi_grid.values()]
             assert len(rows) == len(points)
             for row, p in zip(rows, points):
-                assert row == cli._point_record(spec.model, p, spec.outputs), (n, row)
+                assert row == point_record(spec.model, p, spec.outputs), (n, row)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +393,13 @@ def test_limits_out_of_range_eta_writes_nothing(capsys):
 
 
 def test_limits_out_of_range_beta_exits_2(capsys):
-    code, _, err = run(capsys, "limits", "--eta", "2", "--beta", "1e200")
-    assert code == 2
-    assert err.startswith("error:")
+    # a bad beta after good ones, or a bad kappa, prints no partial table either
+    for argv in (["--beta", "1e200"], ["--beta", "1", "-1"], ["--beta", "1", "1e300"],
+                 ["--kappa", "-1"]):
+        code, out, err = run(capsys, "limits", "--eta", "2", *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error:"), argv
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each module of ``gasgeometry`` is parsed with ``ast``; a module-level
 import, or a module-level private name (a leading underscore), that the
-module itself never loads is dead code left behind by an edit.  The
-import tests run in fresh interpreters: importing the command-line entry
+module itself never loads is dead code left behind by an edit, and so is
+a verification suite missing from ``SUITES``, which ``verify`` never runs.
+The import tests run in fresh interpreters: importing the command-line entry
 point loads no scipy module (``scipy.special`` alone took over half of that
 import), and ``verify`` and the six figures run with the test-only
 packages blocked, emit no ``ConditioningWarning`` and leave ``numpy.random``,
@@ -71,6 +72,14 @@ def test_every_exported_name_is_bound(path):
     module = importlib.import_module(name)
     stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not stale, f"{name}.__all__ lists unbound names: {stale}"
+
+
+def test_every_suite_is_in_the_table():
+    # verify runs SUITES and nothing else, so a suite outside it would never run
+    from gasgeometry import verification
+    suites = [fn for name, fn in vars(verification).items() if name.startswith("suite_")]
+    assert len(suites) == len(verification.SUITES)
+    assert [fn.__name__ for fn in suites if fn not in verification.SUITES.values()] == []
 
 
 def _fresh_modules(code):
