@@ -11,7 +11,9 @@ nothing about gases: it differentiates arbitrary free-energy fields and
 metric fields numerically (central differences with one Richardson
 halving), computes the scalar curvature of 2-d Hessian metrics by two
 independent routes, and carries an exact finite Fock-space enumeration
-that serves as the ground-truth oracle for all of it.
+that serves as the ground-truth oracle for all of it.  The enumeration runs
+over the joint states in blocks of 8,192, so past its cached sufficient
+statistics a call holds four block-sized rows (256 KB) at any state count.
 
 Curvature convention: a two-sphere has positive scalar curvature.  For a
 Hessian metric the Levi-Civita scalar curvature reduces to
@@ -64,6 +66,7 @@ GRAD_STEP = 1e-4
 HESS_STEP = 5e-3
 
 MAX_FOCK_STATES = 10**7
+_BLOCK = 1 << 13  # joint states per enumeration block: 64 KB per float64 row
 
 _DEGENERACY_CUT = 1e-12
 
@@ -346,9 +349,33 @@ def fock_be_tail_bound(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     return float(np.sum(q ** (cap + 1) / (1.0 - q)))
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
+def _logit_blocks(spec: FockEnsembleSpec, at: LagrangeCoords):
+    # each block of joint states as (rows, a1, a2): rows[0] holds the logits
+    # -lambda1 a1 - lambda2 a2, rows[1:] are spare, all reused by the next block
+    if spec.statistics == "be":
+        _bose_ratios(spec, at)  # rejects Bose levels with q_i >= 1
+    a1, a2 = _sufficient_statistics(spec)
+    work = np.empty((4, min(a1.size, _BLOCK)))
+    for lo in range(0, a1.size, _BLOCK):
+        b1, b2 = a1[lo:lo + _BLOCK], a2[lo:lo + _BLOCK]
+        rows = work[:, :b1.size]
+        np.multiply(b1, -at.lambda1, out=rows[0])
+        np.subtract(rows[0], np.multiply(b2, at.lambda2, out=rows[1]), out=rows[0])
+        yield rows, b1, b2
+
+
+def _log_z_and_means(spec: FockEnsembleSpec, at: LagrangeCoords) -> tuple[float, float, float]:
+    # log Z, U and N in one pass: Z, sum w a1 and sum w a2, w = exp(logit - m),
+    # against a running block maximum m, rescaled by exp(m_old - m_new) as m rises
+    m, z, s1, s2 = -math.inf, 0.0, 0.0, 0.0
+    for (w, *_), b1, b2 in _logit_blocks(spec, at):
+        top = float(w.max())
+        if top > m:
+            scale, m = math.exp(m - top), top
+            z, s1, s2 = z * scale, s1 * scale, s2 * scale
+        np.exp(np.subtract(w, m, out=w), out=w)
+        z, s1, s2 = z + float(w.sum()), s1 + float(w @ b1), s2 + float(w @ b2)
+    return m + math.log(z), s1 / z, s2 / z
 
 
 def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
@@ -356,26 +383,16 @@ def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
 
     Both routes are computed on every call: the per-level product (Fermi
     factors 1 + q_i, Bose truncated geometric sums) and a logsumexp over
-    every joint occupancy state.  They must agree to 1e-12; the product
-    value is returned.  For Bose statistics the truncation tail against
-    the untruncated closed form is bounded by :func:`fock_be_tail_bound`.
+    every joint occupancy state, block by block.  They must agree to 1e-12;
+    the product value is returned.  For Bose statistics the truncation tail
+    against the untruncated closed form is bounded by :func:`fock_be_tail_bound`.
     """
     product = _product_log_partition(spec, at)
-    a1, a2 = _sufficient_statistics(spec)
-    enumerated = _logsumexp(-at.lambda1 * a1 - at.lambda2 * a2)
+    enumerated = _log_z_and_means(spec, at)[0]
     if not math.isfinite(product) or abs(product - enumerated) > 1e-12 * max(1.0, abs(product)):
         raise ArithmeticError(
             f"product form ({product!r}) and enumeration ({enumerated!r}) disagree")
     return product
-
-
-def _log_rho(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
-    # log probability of every enumerated joint state
-    if spec.statistics == "be":
-        _bose_ratios(spec, at)  # rejects Bose levels with q_i >= 1
-    a1, a2 = _sufficient_statistics(spec)
-    logits = -at.lambda1 * a1 - at.lambda2 * a2
-    return logits - _logsumexp(logits)
 
 
 def fock_moments(spec: FockEnsembleSpec,
@@ -384,19 +401,27 @@ def fock_moments(spec: FockEnsembleSpec,
 
     The covariance equals the Fisher-Rao metric of the ensemble, i.e.
     the negative Hessian of F = -log Z (identity checked by the tests).
+    Two blocked passes: (log Z, U, N), then the second moments centred on
+    (U, N), which do not cancel as E[a^2] - E[a]^2 would.
     """
-    rho = np.exp(_log_rho(spec, at))
-    a1, a2 = _sufficient_statistics(spec)
-    u, n = float(rho @ a1), float(rho @ a2)
-    da1, da2 = a1 - u, a2 - n
-    return u, n, MetricTensor2(float(rho @ (da1 * da1)), float(rho @ (da1 * da2)),
-                               float(rho @ (da2 * da2)))
+    log_z, u, n = _log_z_and_means(spec, at)
+    g = np.zeros(3)
+    for (rho, da1, da2, sq), b1, b2 in _logit_blocks(spec, at):
+        np.exp(np.subtract(rho, log_z, out=rho), out=rho)
+        np.subtract(b1, u, out=da1)
+        np.subtract(b2, n, out=da2)
+        g += [rho @ np.multiply(x, y, out=sq) for x, y in ((da1, da1), (da1, da2), (da2, da2))]
+    return u, n, MetricTensor2(*g.tolist())
 
 
 def fock_entropy(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
-    """Directly enumerated Gibbs entropy -sum rho log rho (uniform prior)."""
-    logrho = _log_rho(spec, at)
-    return float(-np.sum(np.exp(logrho) * logrho))
+    """Directly enumerated Gibbs entropy -sum rho log rho (uniform prior), by blocks."""
+    log_z = _log_z_and_means(spec, at)[0]
+    s = 0.0
+    for (log_rho, rho, *_), _, _ in _logit_blocks(spec, at):
+        np.subtract(log_rho, log_z, out=log_rho)
+        s -= float(np.exp(log_rho, out=rho) @ log_rho)
+    return s
 
 
 def fock_free_energy_field(spec: FockEnsembleSpec) -> FreeEnergyField:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (ConditioningWarning, DomainError, PolylogOverflowError,
@@ -472,6 +473,7 @@ def geometry_grid(model: GasModel, betas: Iterable[float], xis: Iterable[float]
         yield sample if error is None else error
 
 
+@lru_cache(maxsize=256)
 def limit_coefficients(eta: float) -> LimitCoefficients:
     """Leading small-x coefficients of the bundles.
 
@@ -493,7 +495,7 @@ def limit_coefficients(eta: float) -> LimitCoefficients:
         h_c = (eta+2) g2^2 ((eta+4) / 2^(eta+2) - 2)
 
     A coefficient outside the float range raises DomainError; h is the
-    first to leave it, at eta = 71.
+    first to leave it, at eta = 71.  Results are memoized per eta.
     """
     if eta <= -1.0:
         raise DomainError(f"limit coefficients need eta > -1, got {eta}")

@@ -227,10 +227,11 @@ def suite_fd_negativity() -> SuiteResult:
     worst = -math.inf
     for eta in (0.5, 2.0):
         model = GasModel(quantum_gas.FERMI_DIRAC, eta=eta, kappa=1.0)
-        for beta in np.geomspace(0.1, 10.0, 20):
-            for xi in np.linspace(0.1, 5.0, 50):
-                p = ThermoPoint(float(beta), float(xi))
-                worst = max(worst, quantum_gas.geometry_sample(model, p).R)
+        for s in quantum_gas.geometry_grid(model, np.geomspace(0.1, 10.0, 20),
+                                           np.linspace(0.1, 5.0, 50)):
+            if isinstance(s, Exception):
+                raise s  # as geometry_sample would have raised it
+            worst = max(worst, s.R)
     # pass iff strictly negative everywhere; deviation is the worst (largest) R
     return SuiteResult("fermi curvature negativity", 0.0, worst, worst < 0.0,
                        f"max R over grid = {worst:.6e}")

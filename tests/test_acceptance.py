@@ -21,6 +21,7 @@ import pytest
 import gasgeometry.gibbs_core as gc
 import gasgeometry.quantum_gas as qg
 import gasgeometry.verification as verification
+from gasgeometry.errors import DomainError
 from gasgeometry.gibbs_core import FockEnsembleSpec, LagrangeCoords
 from gasgeometry.quantum_gas import GasModel, ThermoPoint
 from gasgeometry.special_functions import (polylog, polylog_quadrature,
@@ -182,6 +183,16 @@ def _curvature(new_r, stat=None):
     return wrap
 
 
+def _grid_curvature(new_r, stat):
+    # geometry_grid with each sample's R replaced by new_r(R) for one statistics
+    def wrap(f):
+        def faulty(model, betas, xis):
+            for s in f(model, betas, xis):
+                yield replace(s, R=new_r(s.R)) if model.statistics == stat else s
+        return faulty
+    return wrap
+
+
 def test_run_suites_has_one_level_of_plain_results():
     assert list(verification.SUITES) == [
         "polylog", "fock", "metric", "curvature", "classical", "fd-negativity",
@@ -206,7 +217,7 @@ FAULTS = {
                               _curvature(lambda r: r * (1 + 2e-4))),
     "classical-closed-form": ("classical", qg, "geometry_sample", _curvature(lambda r: 1e-300)),
     "classical-numeric": ("classical", gc, "scalar_curvature_det", _plus(2e-8)),
-    "fd-negativity": ("fd-negativity", qg, "geometry_sample", _curvature(lambda r: -r, "fd")),
+    "fd-negativity": ("fd-negativity", qg, "geometry_grid", _grid_curvature(lambda r: -r, "fd")),
     "limits": ("limits", qg, "limit_curvature", _times(1 + 2e-3)),
     "polylog-edge": ("polylog-edge", verification, "polylog", _times(1 + 2e-6)),
     # a ground-state curvature held flat below the edge bound
@@ -223,3 +234,11 @@ def test_suite_fails_on_injected_fault(fault, monkeypatch):
     result = verification.SUITES[suite]()
     assert result.passed is False, result
     assert type(result.max_deviation) is float, result
+
+
+def test_fd_negativity_raises_the_error_of_a_grid_point(monkeypatch):
+    # the suite reads geometry_grid, which yields a point's package error
+    # instead of raising it; the suite raises it, as geometry_sample would
+    monkeypatch.setattr(qg, "geometry_grid", lambda *args: iter([DomainError("injected")]))
+    with pytest.raises(DomainError, match="injected"):
+        verification.suite_fd_negativity()

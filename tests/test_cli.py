@@ -384,6 +384,19 @@ def test_limits_table(capsys):
     assert float(row1[1]) == pytest.approx(-0.24935, abs=1e-3)
 
 
+def test_limits_table_evaluates_gamma_once(capsys, monkeypatch):
+    # limit_coefficients is memoized per eta: the whole table makes one Gamma
+    # evaluation, not one more per beta > 0 and statistics
+    calls = []
+    gamma_real = qg.gamma_real
+    monkeypatch.setattr(qg, "gamma_real", lambda x: calls.append(x) or gamma_real(x))
+    qg.limit_coefficients.cache_clear()
+    code, out, _ = run(capsys, "limits", "--eta", "0.5", "--beta", "0", "0.5", "1", "2")
+    assert code == 0 and len(out.splitlines()) == 11
+    assert out.endswith("\n2,-0.70523697943469543,0.19897711842810609\n")
+    assert calls == [1.5]
+
+
 def test_limits_out_of_range_eta_writes_nothing(capsys):
     # Gamma(101) Gamma(102) leaves the float range: no inf is printed
     code, out, err = run(capsys, "limits", "--eta", "100")

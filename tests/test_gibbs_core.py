@@ -7,6 +7,7 @@ convention, independent of everything gas-related.
 """
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -429,3 +430,94 @@ def test_positive_definiteness_on_physical_points():
             _, _, cov = gc.fock_moments(spec, at)
             assert cov.g11 > 0.0
             assert cov.det > 0.0
+
+
+# ---------------------------------------------------------------------------
+# blocked enumeration against the full-array reference
+# ---------------------------------------------------------------------------
+#
+# The oracles sum the joint states in blocks of gc._BLOCK against a running
+# maximum.  The reference below is the full-array form: one logits array the
+# size of the state space, one logsumexp and one dot product per moment.
+# Only the order of summation differs, so the two agree to a few ulps;
+# 1e-14 leaves room for the 226,981-state sums.
+
+def _reference_logsumexp(a):
+    m = float(np.max(a))
+    return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+def _reference_log_rho(spec, at):
+    if spec.statistics == "be":
+        gc._bose_ratios(spec, at)
+    a1, a2 = gc._sufficient_statistics(spec)
+    logits = -at.lambda1 * a1 - at.lambda2 * a2
+    return logits - _reference_logsumexp(logits)
+
+
+def _reference_log_partition(spec, at):
+    # the enumerated half of fock_log_partition
+    a1, a2 = gc._sufficient_statistics(spec)
+    return _reference_logsumexp(-at.lambda1 * a1 - at.lambda2 * a2)
+
+
+def _reference_moments(spec, at):
+    rho = np.exp(_reference_log_rho(spec, at))
+    a1, a2 = gc._sufficient_statistics(spec)
+    u, n = float(rho @ a1), float(rho @ a2)
+    da1, da2 = a1 - u, a2 - n
+    return u, n, MetricTensor2(float(rho @ (da1 * da1)), float(rho @ (da1 * da2)),
+                               float(rho @ (da2 * da2)))
+
+
+def _reference_entropy(spec, at):
+    logrho = _reference_log_rho(spec, at)
+    return float(-np.sum(np.exp(logrho) * logrho))
+
+
+_BLOCK_SPECS = [
+    FockEnsembleSpec((), "fd"),                                      # 1 state, entropy 0.0
+    FockEnsembleSpec((0.5, 1.0, 1.5, 2.2, 3.1, 4.0), "fd"),          # 64
+    FockEnsembleSpec(tuple(0.1 * k for k in range(1, 14)), "fd"),    # 8,192: one block
+    FockEnsembleSpec((0.5,), "be", be_occupancy_cap=8192),           # 8,193: one state over
+    FockEnsembleSpec((0.9, 1.7), "be", be_occupancy_cap=127),        # 16,384: two blocks
+    FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=200),        # 40,401
+    FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60),    # 226,981
+]
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-14 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=lambda s: f"{s.statistics}-{s.state_count}")
+def test_blocked_enumeration_matches_the_full_array_reference(spec):
+    assert gc._BLOCK == 8192
+    points = [LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9)]
+    if spec.statistics == "fd":
+        points.append(LagrangeCoords(1.0, -800.0))  # logits far past exp's range
+    for at in points:
+        u, n, cov = gc.fock_moments(spec, at)
+        ru, rn, rcov = _reference_moments(spec, at)
+        for got, want in zip((u, n, *cov.entries()), (ru, rn, *rcov.entries())):
+            assert _close(got, want), (at, got, want)
+        assert _close(gc._log_z_and_means(spec, at)[0], _reference_log_partition(spec, at))
+        assert gc.fock_log_partition(spec, at) == gc._product_log_partition(spec, at)
+        assert _close(gc.fock_entropy(spec, at), _reference_entropy(spec, at))
+
+
+def test_fock_oracles_allocate_no_state_sized_temporary():
+    # the cached statistics are two arrays of state_count floats; beyond
+    # them each oracle may hold a few block-sized buffers, never one the
+    # size of the state space
+    spec = FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60)
+    at = LagrangeCoords(1.0, 0.3)
+    gc._sufficient_statistics(spec)
+    for oracle in (gc.fock_moments, gc.fock_log_partition, gc.fock_entropy):
+        tracemalloc.start()
+        try:
+            oracle(spec, at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.state_count * 8, (oracle.__name__, peak)
