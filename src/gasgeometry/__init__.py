@@ -19,7 +19,7 @@ from .errors import (ConditioningWarning, DomainError, EnumerationLimitError,
 from .gibbs_core import (FockEnsembleSpec, FreeEnergyField, LagrangeCoords,
                          MetricTensor2, fock_be_tail_bound, fock_entropy,
                          fock_free_energy_field, fock_log_partition,
-                         fock_moments, hessian_metric, jacobian_metric,
+                         fock_means, fock_moments, hessian_metric, jacobian_metric,
                          legendre_entropy, scalar_curvature_det,
                          scalar_curvature_riemann)
 from .quantum_gas import (BOSE_EINSTEIN, BOSE_EINSTEIN_NO_GROUND,
@@ -39,7 +39,7 @@ __all__ = [
     "ConditioningWarning", "DomainError", "EnumerationLimitError",
     "PolylogOverflowError", "SingularMetricError",
     "FockEnsembleSpec", "FreeEnergyField", "LagrangeCoords", "MetricTensor2",
-    "fock_be_tail_bound", "fock_entropy", "fock_free_energy_field",
+    "fock_be_tail_bound", "fock_entropy", "fock_free_energy_field", "fock_means",
     "fock_log_partition", "fock_moments", "hessian_metric", "jacobian_metric",
     "legendre_entropy", "scalar_curvature_det", "scalar_curvature_riemann",
     "BOSE_EINSTEIN", "BOSE_EINSTEIN_NO_GROUND", "CLASSICAL_IDEAL",

@@ -14,6 +14,7 @@ import would cost more than the suite that draws them.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -132,8 +133,7 @@ def suite_fock_identities() -> SuiteResult:
             h2 = 1e-4 * max(1.0, abs(at.lambda2))
 
             def avg(c):
-                u, n, _ = gibbs_core.fock_moments(spec, c)
-                return np.array([u, n])
+                return np.array(gibbs_core.fock_means(spec, c))
 
             dA1 = (avg(at.shifted(h1, 0.0)) - avg(at.shifted(-h1, 0.0))) / (2 * h1)
             dA2 = (avg(at.shifted(0.0, h2)) - avg(at.shifted(0.0, -h2))) / (2 * h2)
@@ -189,7 +189,7 @@ def suite_curvature_routes() -> SuiteResult:
                  quantum_gas.BOSE_EINSTEIN_NO_GROUND):
         for eta in (0.5, 2.0):
             model = GasModel(stat, eta=eta, kappa=1.0)
-            gfield = quantum_gas.metric_field(model)
+            gfield = functools.cache(quantum_gas.metric_field(model))  # one stencil, two routes
             for beta in _GRID_BETA:
                 for xi in _GRID_XI[stat]:
                     p = ThermoPoint(beta, xi)

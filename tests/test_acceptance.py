@@ -164,13 +164,17 @@ def _g12_times(factor):
     return wrap
 
 
-def _moments_times(mean_factor, cov_factor):
+def _covariance_g12_times(factor):
     def wrap(f):
         def faulty(spec, at):
             u, n, cov = f(spec, at)
-            return u * mean_factor, n * mean_factor, replace(cov, g12=cov.g12 * cov_factor)
+            return u, n, replace(cov, g12=cov.g12 * factor)
         return faulty
     return wrap
+
+
+def _means_times(factor):
+    return lambda f: lambda spec, at: tuple(v * factor for v in f(spec, at))
 
 
 def _curvature(new_r, stat=None):
@@ -209,8 +213,8 @@ def test_run_suites_has_one_level_of_plain_results():
 # id: (SUITES key, module, patched name, fault)
 FAULTS = {
     "polylog": ("polylog", verification, "polylog", _times(1 + 2e-6)),
-    "fock-identity-1": ("fock", gc, "fock_moments", _moments_times(1.0, 1 + 2e-8)),
-    "fock-identity-2": ("fock", gc, "fock_moments", _moments_times(1 + 2e-6, 1.0)),
+    "fock-identity-1": ("fock", gc, "fock_moments", _covariance_g12_times(1 + 2e-8)),
+    "fock-identity-2": ("fock", gc, "fock_means", _means_times(1 + 2e-6)),
     "metric": ("metric", qg, "metric", _g12_times(1 + 2e-6)),
     "curvature-routes": ("curvature", gc, "scalar_curvature_riemann", _times(1 + 2e-5)),
     "curvature-closed-form": ("curvature", qg, "geometry_sample",
@@ -242,3 +246,28 @@ def test_fd_negativity_raises_the_error_of_a_grid_point(monkeypatch):
     monkeypatch.setattr(qg, "geometry_grid", lambda *args: iter([DomainError("injected")]))
     with pytest.raises(DomainError, match="injected"):
         verification.suite_fd_negativity()
+
+
+def _counted(monkeypatch, module, name):
+    # replaces module.name by a wrapper that records each call's arguments
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verify_computes_each_pass_and_stencil_point_once(monkeypatch):
+    # identity 1 and the centre covariance take one fock_moments call per
+    # fixture and point; identity 2's four stencil points read the means
+    # alone; the Riemann route reads the determinant route's metric values
+    moments, means = (_counted(monkeypatch, gc, n) for n in ("fock_moments", "fock_means"))
+    assert_passes(verification.suite_fock_identities())
+    assert (len(moments), len(means)) == (5 * 2, 5 * 2 * 4)
+    metric = _counted(monkeypatch, qg, "metric")
+    assert_passes(verification.suite_curvature_routes())
+    assert len(metric) == 3 * 2 * 25 * 9  # statistics x eta x grid points x stencil

@@ -7,6 +7,8 @@ convention, independent of everything gas-related.
 """
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -506,6 +508,73 @@ def test_blocked_enumeration_matches_the_full_array_reference(spec):
         assert _close(gc.fock_entropy(spec, at), _reference_entropy(spec, at))
 
 
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=lambda s: f"{s.statistics}-{s.state_count}")
+def test_fock_means_are_the_bits_of_fock_moments(spec):
+    points = [LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9)]
+    if spec.statistics == "fd":
+        points.append(LagrangeCoords(1.0, -800.0))
+    for at in points:
+        got = [v.hex() for v in gc.fock_means(spec, at)]
+        assert got == [v.hex() for v in gc.fock_moments(spec, at)[:2]], at
+
+
+def _cached_bytes():
+    return sum(a1.nbytes + a2.nbytes for a1, a2 in gc._stats_cache.values())
+
+
+def test_statistics_cache_holds_at_most_its_byte_bound(monkeypatch):
+    # an ensemble one state past the bound is served but neither cached nor
+    # evicting; one exactly at the bound evicts every older entry
+    monkeypatch.setattr(gc, "_stats_cache", {})
+    at = LagrangeCoords(1.0, 0.3)
+    fixtures = [FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=200),
+                FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60)]
+    for spec in fixtures:
+        gc.fock_moments(spec, at)
+    assert list(gc._stats_cache) == fixtures and _cached_bytes() == 16 * (40_401 + 226_981)
+    states = gc._STATS_BYTES // 16
+    past = FockEnsembleSpec((0.5,), "be", be_occupancy_cap=states)  # states + 1 joint states
+    u, n = gc.fock_means(past, at)
+    assert u == pytest.approx(0.5 * n) and n == pytest.approx(1.0 / math.expm1(0.8), rel=1e-14)
+    assert list(gc._stats_cache) == fixtures
+    full = FockEnsembleSpec((0.5,), "be", be_occupancy_cap=states - 1)
+    gc.fock_means(full, at)
+    assert list(gc._stats_cache) == [full] and _cached_bytes() == gc._STATS_BYTES
+
+
+def test_statistics_cache_under_concurrent_callers(monkeypatch):
+    # more threads than cores, switching every microsecond, through a
+    # bound that holds about two of the four ensembles: every caller gets
+    # its own statistics and the cache never ends past its bound
+    monkeypatch.setattr(gc, "_stats_cache", {})
+    monkeypatch.setattr(gc, "_STATS_BYTES", 16 * 600)
+    specs = [FockEnsembleSpec(tuple(0.1 * k for k in range(1, m)), "fd") for m in (7, 8, 9, 10)]
+    want = {spec: gc._sufficient_statistics(spec) for spec in specs}
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(1500):
+                spec = specs[(i + offset) % len(specs)]
+                a1, a2 = gc._sufficient_statistics(spec)
+                assert np.array_equal(a1, want[spec][0]) and np.array_equal(a2, want[spec][1])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert _cached_bytes() <= gc._STATS_BYTES
+
+
 def test_fock_oracles_allocate_no_state_sized_temporary():
     # the cached statistics are two arrays of state_count floats; beyond
     # them each oracle may hold a few block-sized buffers, never one the
@@ -513,7 +582,7 @@ def test_fock_oracles_allocate_no_state_sized_temporary():
     spec = FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60)
     at = LagrangeCoords(1.0, 0.3)
     gc._sufficient_statistics(spec)
-    for oracle in (gc.fock_moments, gc.fock_log_partition, gc.fock_entropy):
+    for oracle in (gc.fock_moments, gc.fock_means, gc.fock_log_partition, gc.fock_entropy):
         tracemalloc.start()
         try:
             oracle(spec, at)
