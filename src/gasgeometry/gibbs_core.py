@@ -12,8 +12,8 @@ metric fields numerically (central differences with one Richardson
 halving), computes the scalar curvature of 2-d Hessian metrics by two
 independent routes, and carries an exact finite Fock-space enumeration
 that serves as the ground-truth oracle for all of it.  The enumeration runs
-over the joint states in blocks of 8,192, so past its cached sufficient
-statistics a call holds four block-sized rows (256 KB) at any state count.
+over the joint states in blocks of 8,192, each made from small level tables
+of its own call, so a call holds at most about 1.2 MB at any state count.
 
 Curvature convention: a two-sphere has positive scalar curvature.  For a
 Hessian metric the Levi-Civita scalar curvature reduces to
@@ -30,7 +30,6 @@ Hessian), contracts them into R_1212 and uses R = 2 R_1212 / det g.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -271,8 +270,8 @@ def legendre_entropy(F: FreeEnergyField, at: LagrangeCoords) -> float:
 class FockEnsembleSpec:
     """A finite list of single-particle levels with an occupancy rule.
 
-    ``statistics`` is ``'fd'`` (occupancies {0, 1}) or ``'be'``
-    (occupancies {0..be_occupancy_cap}).  The joint state space is
+    ``statistics`` is ``'fd'`` (occupancies {0, 1}) or ``'be'`` (occupancies
+    {0..be_occupancy_cap}, a whole number >= 1).  The joint state space is
     enumerated exactly, so its size (occupancies ** levels) is capped at
     ``MAX_FOCK_STATES``; this is a desk-scale oracle, not a solver.
     """
@@ -287,8 +286,10 @@ class FockEnsembleSpec:
             raise DomainError("level energies must be finite and >= 0")
         if self.statistics not in ("fd", "be"):
             raise DomainError(f"statistics must be 'fd' or 'be', got {self.statistics!r}")
-        if self.be_occupancy_cap < 1:
-            raise DomainError("be_occupancy_cap must be >= 1")
+        if not (float(self.be_occupancy_cap).is_integer() and self.be_occupancy_cap >= 1):
+            raise DomainError(
+                f"be_occupancy_cap must be a whole number >= 1, got {self.be_occupancy_cap!r}")
+        object.__setattr__(self, "be_occupancy_cap", int(self.be_occupancy_cap))
         if self.state_count > MAX_FOCK_STATES:
             raise EnumerationLimitError(
                 f"{self.state_count} joint states exceed the {MAX_FOCK_STATES} budget")
@@ -302,30 +303,14 @@ class FockEnsembleSpec:
         return self.occupancy_count ** len(self.energies)
 
 
-# cached sufficient statistics, oldest first, 16 bytes per joint state: verify's
-# fixtures take 4.3 MB of the bound, criterion 8's 8.1M states would take 130 MB
-_STATS_BYTES = 1 << 25  # 32 MB, 2,097,152 states
-_stats_cache: dict[FockEnsembleSpec, tuple[np.ndarray, np.ndarray]] = {}
-_stats_lock = threading.Lock()
-
-
-def _sufficient_statistics(spec: FockEnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    # per joint state: a1 = sum_i eps_i x_i (energy), a2 = sum_i x_i (count);
-    # an ensemble past _STATS_BYTES is rebuilt by each pass and evicts nothing
-    with _stats_lock:
-        stats = _stats_cache.pop(spec, None)
-    if stats is None:
-        occ = np.arange(spec.occupancy_count, dtype=float)
-        a1 = a2 = np.zeros(1)
-        for eps in spec.energies:
-            a1, a2 = np.add.outer(a1, eps * occ).ravel(), np.add.outer(a2, occ).ravel()
-        stats = a1, a2
-    with _stats_lock:
-        if 16 * spec.state_count <= _STATS_BYTES:
-            _stats_cache[spec] = stats
-        while 16 * sum(s.state_count for s in _stats_cache) > _STATS_BYTES:
-            del _stats_cache[next(iter(_stats_cache))]
-    return stats
+def _joint_statistics(energies: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
+    # a1 = sum_i eps_i x_i (energy) and a2 = sum_i x_i (number) of every joint
+    # state of the levels, x_i in 0..count-1, the last level varying fastest
+    a1 = a2 = np.zeros(1)
+    for eps in energies:  # the axis is made per level: with no level, count may be past any array
+        occ = np.arange(count, dtype=float)
+        a1, a2 = np.add.outer(a1, eps * occ).ravel(), np.add.outer(a2, occ).ravel()
+    return a1, a2
 
 
 def _level_logits(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
@@ -366,14 +351,30 @@ def fock_be_tail_bound(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
 
 def _logit_blocks(spec: FockEnsembleSpec, at: LagrangeCoords):
     # each block of joint states as (rows, a1, a2): rows[0] holds the logits
-    # -lambda1 a1 - lambda2 a2, rows[1:] are spare, all reused by the next block
+    # -lambda1 a1 - lambda2 a2, rows[1:] are spare, all reused by the next block.
+    # A block adds the table of the trailing levels, the most that fit in one,
+    # to a chunk of the leading levels' table, or of a lone leading level's
+    # occupancy axis (which may be longer than _BLOCK): nothing is state-sized
     if spec.statistics == "be":
         _bose_ratios(spec, at)  # rejects Bose levels with q_i >= 1
-    a1, a2 = _sufficient_statistics(spec)
-    work = np.empty((4, min(a1.size, _BLOCK)))
-    for lo in range(0, a1.size, _BLOCK):
-        b1, b2 = a1[lo:lo + _BLOCK], a2[lo:lo + _BLOCK]
-        rows = work[:, :b1.size]
+    count, levels = spec.occupancy_count, spec.energies
+    split = next(k for k in range(len(levels) + 1) if count ** (len(levels) - k) <= _BLOCK)
+    t1, t2 = _joint_statistics(levels[split:], count)
+    step = _BLOCK // t1.size
+    if split == 1:
+        ranges = (np.arange(lo, min(lo + step, count), dtype=float) for lo in range(0, count, step))
+        leads = ((levels[0] * x, x) for x in ranges)
+    else:
+        l1, l2 = _joint_statistics(levels[:split], count)
+        leads = ((l1[lo:lo + step], l2[lo:lo + step]) for lo in range(0, l1.size, step))
+    work, size = np.empty((6, min(spec.state_count, _BLOCK))), 0
+    for c1, c2 in leads:
+        if c1.size != size:  # row views cost on every block; only a shorter last one remakes them
+            size = c1.size
+            *rows, b1, b2 = work[:, :size * t1.size]
+            grid1, grid2 = b1.reshape(size, t1.size), b2.reshape(size, t2.size)
+        np.add.outer(c1, t1, out=grid1)
+        np.add.outer(c2, t2, out=grid2)
         np.multiply(b1, -at.lambda1, out=rows[0])
         np.subtract(rows[0], np.multiply(b2, at.lambda2, out=rows[1]), out=rows[0])
         yield rows, b1, b2

@@ -190,16 +190,14 @@ def suite_curvature_routes() -> SuiteResult:
         for eta in (0.5, 2.0):
             model = GasModel(stat, eta=eta, kappa=1.0)
             gfield = functools.cache(quantum_gas.metric_field(model))  # one stencil, two routes
-            for beta in _GRID_BETA:
-                for xi in _GRID_XI[stat]:
-                    p = ThermoPoint(beta, xi)
-                    at = p.to_coords()
-                    r_det = gibbs_core.scalar_curvature_det(gfield, at)
-                    r_riem = gibbs_core.scalar_curvature_riemann(gfield, at)
-                    r_closed = quantum_gas.geometry_sample(model, p).R
-                    worst_routes = max(worst_routes, _rel(r_det, r_riem))
-                    worst_closed = max(worst_closed, _rel(r_det, r_closed),
-                                       _rel(r_riem, r_closed))
+            for s in quantum_gas.geometry_grid(model, _GRID_BETA, _GRID_XI[stat]):
+                if isinstance(s, Exception):
+                    raise s  # as geometry_sample would have raised it
+                at = s.point.to_coords()
+                r_det = gibbs_core.scalar_curvature_det(gfield, at)
+                r_riem = gibbs_core.scalar_curvature_riemann(gfield, at)
+                worst_routes = max(worst_routes, _rel(r_det, r_riem))
+                worst_closed = max(worst_closed, _rel(r_det, s.R), _rel(r_riem, s.R))
     passed = bool(worst_routes <= tol_routes and worst_closed <= tol_closed)
     detail = (f"routes {worst_routes:.2e} (tol 1e-5), "
               f"vs closed form {worst_closed:.2e} (tol 1e-4)")

@@ -187,12 +187,12 @@ def _curvature(new_r, stat=None):
     return wrap
 
 
-def _grid_curvature(new_r, stat):
-    # geometry_grid with each sample's R replaced by new_r(R) for one statistics
+def _grid_curvature(new_r, stat=None):
+    # geometry_grid with each sample's R replaced by new_r(R), for one statistics or all
     def wrap(f):
         def faulty(model, betas, xis):
             for s in f(model, betas, xis):
-                yield replace(s, R=new_r(s.R)) if model.statistics == stat else s
+                yield replace(s, R=new_r(s.R)) if stat in (None, model.statistics) else s
         return faulty
     return wrap
 
@@ -217,8 +217,8 @@ FAULTS = {
     "fock-identity-2": ("fock", gc, "fock_means", _means_times(1 + 2e-6)),
     "metric": ("metric", qg, "metric", _g12_times(1 + 2e-6)),
     "curvature-routes": ("curvature", gc, "scalar_curvature_riemann", _times(1 + 2e-5)),
-    "curvature-closed-form": ("curvature", qg, "geometry_sample",
-                              _curvature(lambda r: r * (1 + 2e-4))),
+    "curvature-closed-form": ("curvature", qg, "geometry_grid",
+                              _grid_curvature(lambda r: r * (1 + 2e-4))),
     "classical-closed-form": ("classical", qg, "geometry_sample", _curvature(lambda r: 1e-300)),
     "classical-numeric": ("classical", gc, "scalar_curvature_det", _plus(2e-8)),
     "fd-negativity": ("fd-negativity", qg, "geometry_grid", _grid_curvature(lambda r: -r, "fd")),
@@ -264,10 +264,12 @@ def _counted(monkeypatch, module, name):
 def test_verify_computes_each_pass_and_stencil_point_once(monkeypatch):
     # identity 1 and the centre covariance take one fock_moments call per
     # fixture and point; identity 2's four stencil points read the means
-    # alone; the Riemann route reads the determinant route's metric values
+    # alone; the Riemann route reads the determinant route's metric values,
+    # and the closed-form R makes one determinant bundle per xi column
     moments, means = (_counted(monkeypatch, gc, n) for n in ("fock_moments", "fock_means"))
     assert_passes(verification.suite_fock_identities())
     assert (len(moments), len(means)) == (5 * 2, 5 * 2 * 4)
-    metric = _counted(monkeypatch, qg, "metric")
+    metric, bundles = (_counted(monkeypatch, qg, n) for n in ("metric", "det_bundle"))
     assert_passes(verification.suite_curvature_routes())
     assert len(metric) == 3 * 2 * 25 * 9  # statistics x eta x grid points x stencil
+    assert len(bundles) == 3 * 2 * 5  # statistics x eta x xi columns

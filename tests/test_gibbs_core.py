@@ -290,6 +290,10 @@ def test_entropy_of_empty_ensemble_is_zero():
     at = LagrangeCoords(1.0, 0.3)
     assert gc.fock_entropy(spec, at) == 0.0
     assert gc.legendre_entropy(gc.fock_free_energy_field(spec), at) == pytest.approx(0.0, abs=1e-12)
+    # one joint state at any cap: no occupancy axis of 1e300 + 1 entries is made
+    huge = FockEnsembleSpec((), "be", be_occupancy_cap=1e300)
+    assert gc.fock_moments(huge, at) == (0.0, 0.0, MetricTensor2(0.0, 0.0, 0.0))
+    assert gc.fock_entropy(huge, at) == 0.0
 
 
 def test_entropy_classical_gas_analytic_cross_check():
@@ -319,6 +323,16 @@ def test_fock_spec_validation():
         FockEnsembleSpec((1.0,), "be", be_occupancy_cap=0)
     with pytest.raises(EnumerationLimitError):
         FockEnsembleSpec((1.0, 2.0, 3.0), "be", be_occupancy_cap=300)  # 301^3 > 1e7
+
+
+@pytest.mark.parametrize("cap, error", [(2.5, DomainError), (math.nan, DomainError),
+                                        (1e300, EnumerationLimitError), (math.inf, DomainError)])
+def test_occupancy_cap_is_a_whole_number_within_the_budget(cap, error):
+    # a fractional cap once enumerated cap 3 while the product form used
+    # 2.5; nan and 1e300 escaped as bare ValueError and OverflowError
+    with pytest.raises(error):
+        FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=cap)
+    assert FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=60.0).be_occupancy_cap == 60
 
 
 def test_single_level_log_partition():
@@ -444,6 +458,16 @@ def test_positive_definiteness_on_physical_points():
 # Only the order of summation differs, so the two agree to a few ulps;
 # 1e-14 leaves room for the 226,981-state sums.
 
+def _reference_statistics(spec):
+    # a1 = sum_i eps_i x_i (energy) and a2 = sum_i x_i (number) of every
+    # joint state, the last level varying fastest, as two state-sized arrays
+    occ = np.arange(spec.occupancy_count, dtype=float)
+    a1 = a2 = np.zeros(1)
+    for eps in spec.energies:
+        a1, a2 = np.add.outer(a1, eps * occ).ravel(), np.add.outer(a2, occ).ravel()
+    return a1, a2
+
+
 def _reference_logsumexp(a):
     m = float(np.max(a))
     return m + math.log(float(np.sum(np.exp(a - m))))
@@ -452,20 +476,20 @@ def _reference_logsumexp(a):
 def _reference_log_rho(spec, at):
     if spec.statistics == "be":
         gc._bose_ratios(spec, at)
-    a1, a2 = gc._sufficient_statistics(spec)
+    a1, a2 = _reference_statistics(spec)
     logits = -at.lambda1 * a1 - at.lambda2 * a2
     return logits - _reference_logsumexp(logits)
 
 
 def _reference_log_partition(spec, at):
     # the enumerated half of fock_log_partition
-    a1, a2 = gc._sufficient_statistics(spec)
+    a1, a2 = _reference_statistics(spec)
     return _reference_logsumexp(-at.lambda1 * a1 - at.lambda2 * a2)
 
 
 def _reference_moments(spec, at):
     rho = np.exp(_reference_log_rho(spec, at))
-    a1, a2 = gc._sufficient_statistics(spec)
+    a1, a2 = _reference_statistics(spec)
     u, n = float(rho @ a1), float(rho @ a2)
     da1, da2 = a1 - u, a2 - n
     return u, n, MetricTensor2(float(rho @ (da1 * da1)), float(rho @ (da1 * da2)),
@@ -518,46 +542,24 @@ def test_fock_means_are_the_bits_of_fock_moments(spec):
         assert got == [v.hex() for v in gc.fock_moments(spec, at)[:2]], at
 
 
-def _cached_bytes():
-    return sum(a1.nbytes + a2.nbytes for a1, a2 in gc._stats_cache.values())
+def _hex_moments(spec, at):
+    u, n, cov = gc.fock_moments(spec, at)
+    return [v.hex() for v in (u, n, *cov.entries().tolist())]
 
 
-def test_statistics_cache_holds_at_most_its_byte_bound(monkeypatch):
-    # an ensemble one state past the bound is served but neither cached nor
-    # evicting; one exactly at the bound evicts every older entry
-    monkeypatch.setattr(gc, "_stats_cache", {})
+def test_concurrent_callers_get_the_bits_of_serial_calls():
+    # more threads than cores, switching every microsecond: no call shares a
+    # buffer or a table with another, so each returns what it does alone
     at = LagrangeCoords(1.0, 0.3)
-    fixtures = [FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=200),
-                FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60)]
-    for spec in fixtures:
-        gc.fock_moments(spec, at)
-    assert list(gc._stats_cache) == fixtures and _cached_bytes() == 16 * (40_401 + 226_981)
-    states = gc._STATS_BYTES // 16
-    past = FockEnsembleSpec((0.5,), "be", be_occupancy_cap=states)  # states + 1 joint states
-    u, n = gc.fock_means(past, at)
-    assert u == pytest.approx(0.5 * n) and n == pytest.approx(1.0 / math.expm1(0.8), rel=1e-14)
-    assert list(gc._stats_cache) == fixtures
-    full = FockEnsembleSpec((0.5,), "be", be_occupancy_cap=states - 1)
-    gc.fock_means(full, at)
-    assert list(gc._stats_cache) == [full] and _cached_bytes() == gc._STATS_BYTES
-
-
-def test_statistics_cache_under_concurrent_callers(monkeypatch):
-    # more threads than cores, switching every microsecond, through a
-    # bound that holds about two of the four ensembles: every caller gets
-    # its own statistics and the cache never ends past its bound
-    monkeypatch.setattr(gc, "_stats_cache", {})
-    monkeypatch.setattr(gc, "_STATS_BYTES", 16 * 600)
-    specs = [FockEnsembleSpec(tuple(0.1 * k for k in range(1, m)), "fd") for m in (7, 8, 9, 10)]
-    want = {spec: gc._sufficient_statistics(spec) for spec in specs}
+    specs = [FockEnsembleSpec(tuple(0.1 * k for k in range(1, m)), "fd") for m in (7, 8, 9, 15)]
+    want = {spec: _hex_moments(spec, at) for spec in specs}
     errors = []
 
     def work(offset):
         try:
-            for i in range(1500):
+            for i in range(100):
                 spec = specs[(i + offset) % len(specs)]
-                a1, a2 = gc._sufficient_statistics(spec)
-                assert np.array_equal(a1, want[spec][0]) and np.array_equal(a2, want[spec][1])
+                assert _hex_moments(spec, at) == want[spec], spec
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -572,16 +574,18 @@ def test_statistics_cache_under_concurrent_callers(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors, errors
-    assert _cached_bytes() <= gc._STATS_BYTES
 
 
-def test_fock_oracles_allocate_no_state_sized_temporary():
-    # the cached statistics are two arrays of state_count floats; beyond
-    # them each oracle may hold a few block-sized buffers, never one the
-    # size of the state space
-    spec = FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60)
+@pytest.mark.parametrize("spec", [
+    FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60),   # 226,981 states
+    FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=200),  # criterion 8: 8,120,601
+    FockEnsembleSpec((0.5,), "be", be_occupancy_cap=2_000_000),     # one level, 2,000,001
+], ids=lambda s: f"{len(s.energies)}x{s.occupancy_count}")
+def test_fock_oracles_allocate_no_state_sized_temporary(spec):
+    # each call builds its own level tables and block rows, at most about
+    # 1.2 MB at any state count; the statistics of all joint states would
+    # take 16 bytes per state (130 MB at 8.1M)
     at = LagrangeCoords(1.0, 0.3)
-    gc._sufficient_statistics(spec)
     for oracle in (gc.fock_moments, gc.fock_means, gc.fock_log_partition, gc.fock_entropy):
         tracemalloc.start()
         try:
@@ -589,4 +593,4 @@ def test_fock_oracles_allocate_no_state_sized_temporary():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < spec.state_count * 8, (oracle.__name__, peak)
+        assert peak < 4_000_000, (oracle.__name__, peak)
