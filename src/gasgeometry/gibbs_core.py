@@ -15,6 +15,13 @@ that serves as the ground-truth oracle for all of it.  The enumeration runs
 over the joint states in blocks of 8,192, each made from small level tables
 of its own call, so a call holds at most about 1.2 MB at any state count.
 
+A field takes a batch of points as equal-length float64 arrays (lambda1,
+lambda2) and returns an array (free energy), the triple (g11, g12, g22)
+(metric) or the pair (U, N) (averages), or raises DomainError if any point is
+outside its domain.  An entry point takes one LagrangeCoords, giving a float
+or a MetricTensor2 of floats, or a sequence, giving an array or a list with
+the same bits per point, and calls its field once, on every stencil point.
+
 Curvature convention: a two-sphere has positive scalar curvature.  For a
 Hessian metric the Levi-Civita scalar curvature reduces to
 
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -118,73 +125,90 @@ class MetricTensor2:
         return np.array([self.g11, self.g12, self.g22])
 
 
-# F(lambda) = -log Z; a field raises DomainError at points outside its domain
-FreeEnergyField = Callable[[LagrangeCoords], float]
-MetricField = Callable[[LagrangeCoords], MetricTensor2]
+FreeEnergyField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+MetricField = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+AveragesField = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+Points = Union[LagrangeCoords, Sequence[LagrangeCoords]]
+
+# stencil offsets in steps (h1, h2): the centre and each axis at the Richardson steps 1 and 1/2
+_CENTRE_AXES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.5, 0.0), (-0.5, 0.0),
+                (0.0, 1.0), (0.0, -1.0), (0.0, 0.5), (0.0, -0.5))
+_CORNERS = tuple((c * a, c * b) for c in (1.0, 0.5) for a in (1.0, -1.0) for b in (1.0, -1.0))
 
 
-def _steps(at: LagrangeCoords, base: float) -> tuple[float, float]:
-    return base * max(1.0, abs(at.lambda1)), base * max(1.0, abs(at.lambda2))
+def _stencil(field: Callable, at: Points, base: float, offsets: tuple) -> tuple:
+    # (one, lambda1, lambda2, h1, h2, v): whether `at` is one point, the points' coordinates
+    # and steps as arrays, and v[offset], the field at that offset of each point, from one call
+    one = isinstance(at, LagrangeCoords)
+    l1, l2 = np.array([(p.lambda1, p.lambda2) for p in ((at,) if one else at)]).reshape(-1, 2).T
+    h1, h2 = base * np.maximum(1.0, np.abs(l1)), base * np.maximum(1.0, np.abs(l2))
+    s = np.array(offsets)
+    with np.errstate(over="ignore"):  # a point past the double range fails the check
+        x1, x2 = (l1 + s[:, :1] * h1).ravel(), (l2 + s[:, 1:] * h2).ravel()
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all() and (x1 > 0.0).all()):
+        raise DomainError("a stencil point leaves the finite coordinates with lambda1 > 0")
+    v = np.asarray(field(x1, x2), dtype=float)
+    v = v.reshape(v.shape[:-1] + (len(offsets), l1.size))
+    return one, l1, l2, h1, h2, {o: v[..., i, :] for i, o in enumerate(offsets)}
 
 
-def _along(at: LagrangeCoords, axis: int, s: float) -> LagrangeCoords:
-    return at.shifted(s, 0.0) if axis == 0 else at.shifted(0.0, s)
+def _results(one: bool, *r: np.ndarray):
+    # one point: its float, or MetricTensor2 of floats; a sequence: an array, or a list of them
+    out = r[0] if len(r) == 1 else [MetricTensor2(*g) for g in zip(*(x.tolist() for x in r))]
+    return out if not one else float(out[0]) if len(r) == 1 else out[0]
 
 
-def _richardson(estimate: Callable[[float], float]) -> float:
+def _offset(axis: int, s: float) -> tuple[float, float]:
+    return (s, 0.0) if axis == 0 else (0.0, s)
+
+
+def _richardson(estimate: Callable[[float], np.ndarray]) -> np.ndarray:
     # estimate(c) is an O(h^2) central difference at steps scaled by c; one
     # halving cancels the h^2 term: (4 D(h/2) - D(h)) / 3
     coarse = estimate(1.0)
     return (4.0 * estimate(0.5) - coarse) / 3.0
 
 
-def _d1(f: Callable, at: LagrangeCoords, axis: int, h: float):
-    """Richardson first derivative of f (scalar or array) along one axis."""
-    def estimate(c: float):
-        ch = c * h
-        return (f(_along(at, axis, ch)) - f(_along(at, axis, -ch))) / (2.0 * ch)
+def _d1(v: dict, axis: int, h: np.ndarray) -> np.ndarray:
+    """Richardson first derivative along one axis from the stencil values v."""
+    def estimate(c: float) -> np.ndarray:
+        return (v[_offset(axis, c)] - v[_offset(axis, -c)]) / (2.0 * (c * h))
     return _richardson(estimate)
 
 
-def _warn_if_degenerate(g: MetricTensor2, context: str) -> None:
-    scale = abs(g.g11 * g.g22) + g.g12 * g.g12
-    if g.det <= 0.0 or g.det < _DEGENERACY_CUT * scale:
+def _warn_if_degenerate(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray, context: str) -> None:
+    det, scale = g11 * g22 - g12 * g12, np.abs(g11 * g22) + g12 * g12
+    for i in np.flatnonzero((det <= 0.0) | (det < _DEGENERACY_CUT * scale)):
         warnings.warn(
-            f"{context}: metric determinant {g.det:.3e} is degenerate relative "
-            f"to its entries (scale {scale:.3e})", ConditioningWarning, stacklevel=3)
+            f"{context}: metric determinant {det[i]:.3e} is degenerate relative "
+            f"to its entries (scale {scale[i]:.3e})", ConditioningWarning, stacklevel=3)
 
 
-def hessian_metric(F: FreeEnergyField, at: LagrangeCoords) -> MetricTensor2:
+def hessian_metric(F: FreeEnergyField, at: Points):
     """Fisher-Rao metric g_mn = -d^2 F/d lambda^m d lambda^n by differences.
 
     Central second differences with one Richardson halving; relative error
     ~1e-7 for smooth fields evaluated at ~1e-13 accuracy.  A degenerate
     result (det g <= 0) triggers a :class:`ConditioningWarning`.
     """
-    h1, h2 = _steps(at, HESS_STEP)
-    f0 = F(at)
+    one, _, _, h1, h2, v = _stencil(F, at, HESS_STEP, _CENTRE_AXES + _CORNERS)
 
-    def cross(s: float, t: float) -> float:
-        return F(at.shifted(s, t))
-
-    def d2_axis(h: float, axis: int) -> float:
-        def estimate(c: float) -> float:
+    def d2_axis(h: np.ndarray, axis: int) -> np.ndarray:
+        def estimate(c: float) -> np.ndarray:
             ch = c * h
-            return (F(_along(at, axis, ch)) - 2.0 * f0 + F(_along(at, axis, -ch))) / (ch * ch)
+            return (v[_offset(axis, c)] - 2.0 * v[0.0, 0.0] + v[_offset(axis, -c)]) / (ch * ch)
         return _richardson(estimate)
 
-    def mixed(c: float) -> float:
+    def mixed(c: float) -> np.ndarray:
         ch, ck = c * h1, c * h2
-        return ((cross(ch, ck) - cross(ch, -ck) - cross(-ch, ck) + cross(-ch, -ck))
-                / (4.0 * ch * ck))
+        return (v[c, c] - v[c, -c] - v[-c, c] + v[-c, -c]) / (4.0 * ch * ck)
 
-    g = MetricTensor2(-d2_axis(h1, 0), -_richardson(mixed), -d2_axis(h2, 1))
-    _warn_if_degenerate(g, "hessian_metric")
-    return g
+    g = (-d2_axis(h1, 0), -_richardson(mixed), -d2_axis(h2, 1))
+    _warn_if_degenerate(*g, "hessian_metric")
+    return _results(one, *g)
 
 
-def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
-                    at: LagrangeCoords) -> MetricTensor2:
+def jacobian_metric(averages: AveragesField, at: Points):
     """Metric from expected values, g_mn = -d A_m / d lambda^n.
 
     This is the covariance-route metric used when only (U, N) are known in
@@ -192,46 +216,37 @@ def jacobian_metric(averages: Callable[[LagrangeCoords], tuple[float, float]],
     off-diagonal estimates -dN/dlambda^1 and -dU/dlambda^2 must agree for a
     Hessian metric; their mean is returned.
     """
-    h1, h2 = _steps(at, GRAD_STEP)
-
-    def pair(c: LagrangeCoords) -> np.ndarray:
-        return np.array(averages(c))
-
-    (du1, dn1), (du2, dn2) = _d1(pair, at, 0, h1).tolist(), _d1(pair, at, 1, h2).tolist()
-    g = MetricTensor2(-du1, -0.5 * (dn1 + du2), -dn2)
-    _warn_if_degenerate(g, "jacobian_metric")
-    return g
+    one, _, _, h1, h2, v = _stencil(averages, at, GRAD_STEP, _CENTRE_AXES[1:])
+    (du1, dn1), (du2, dn2) = _d1(v, 0, h1), _d1(v, 1, h2)
+    g = (-du1, -0.5 * (dn1 + du2), -dn2)
+    _warn_if_degenerate(*g, "jacobian_metric")
+    return _results(one, *g)
 
 
-def _metric_rows(gfield: MetricField,
-                 at: LagrangeCoords) -> tuple[MetricTensor2, np.ndarray, np.ndarray]:
-    h1, h2 = _steps(at, GRAD_STEP)
-    g0 = gfield(at)
-
-    def entries(c: LagrangeCoords) -> np.ndarray:
-        return gfield(c).entries()
-
-    return g0, _d1(entries, at, 0, h1), _d1(entries, at, 1, h2)
+def _metric_rows(gfield: MetricField, at: Points) -> tuple:
+    one, _, _, h1, h2, v = _stencil(gfield, at, GRAD_STEP, _CENTRE_AXES)
+    return one, v[0.0, 0.0], _d1(v, 0, h1), _d1(v, 1, h2)
 
 
-def _require_regular(g: MetricTensor2, context: str) -> float:
-    detg = g.det
-    if detg <= 0.0 or not math.isfinite(detg):
+def _require_regular(g: np.ndarray, context: str) -> np.ndarray:
+    detg = g[0] * g[2] - g[1] * g[1]
+    bad = (detg <= 0.0) | ~np.isfinite(detg)
+    if bad.any():
         raise SingularMetricError(
-            f"{context}: metric determinant must be positive, got {detg:.6e}")
-    _warn_if_degenerate(g, context)
+            f"{context}: metric determinant must be positive, got {detg[bad][0]:.6e}")
+    _warn_if_degenerate(*g, context)
     return detg
 
 
-def scalar_curvature_det(gfield: MetricField, at: LagrangeCoords) -> float:
+def scalar_curvature_det(gfield: MetricField, at: Points):
     """Scalar curvature of a Hessian metric field, determinant route."""
-    g0, d1g, d2g = _metric_rows(gfield, at)
+    one, g0, d1g, d2g = _metric_rows(gfield, at)
     detg = _require_regular(g0, "scalar_curvature_det")
-    det3 = float(np.linalg.det(np.array([g0.entries(), d1g, d2g])))
-    return -det3 / (2.0 * detg * detg)
+    det3 = np.linalg.det(np.moveaxis(np.array([g0, d1g, d2g]), -1, 0))
+    return _results(one, -det3 / (2.0 * detg * detg))
 
 
-def scalar_curvature_riemann(gfield: MetricField, at: LagrangeCoords) -> float:
+def scalar_curvature_riemann(gfield: MetricField, at: Points):
     """Scalar curvature via Christoffel symbols and R_1212.
 
     For a Hessian metric Gamma_{s|mn} = (1/2) d_s g_mn, and the lowered
@@ -243,23 +258,19 @@ def scalar_curvature_riemann(gfield: MetricField, at: LagrangeCoords) -> float:
     to stencil accuracy; the pair is the route-equivalence check used by
     the verification suite.
     """
-    g0, d1g, d2g = _metric_rows(gfield, at)
+    one, g0, d1g, d2g = _metric_rows(gfield, at)
     detg = _require_regular(g0, "scalar_curvature_riemann")
     dg = (d1g, d2g)  # dg[s] = (d_s g11, d_s g12, d_s g22)
-    ginv = np.array([[g0.g22, -g0.g12], [-g0.g12, g0.g11]]) / detg
-    r1212 = 0.0
-    for o in range(2):
-        for w in range(2):
-            r1212 += ginv[o, w] * (dg[o][1] * dg[w][1] - dg[o][0] * dg[w][2])
-    r1212 *= 0.25
-    return 2.0 * r1212 / detg
+    ginv = np.array([[g0[2], -g0[1]], [-g0[1], g0[0]]]) / detg
+    r1212 = 0.25 * sum(ginv[o, w] * (dg[o][1] * dg[w][1] - dg[o][0] * dg[w][2])
+                       for o in range(2) for w in range(2))
+    return _results(one, 2.0 * r1212 / detg)
 
 
-def legendre_entropy(F: FreeEnergyField, at: LagrangeCoords) -> float:
+def legendre_entropy(F: FreeEnergyField, at: Points):
     """Entropy S = lambda^m A_m - F with A_m = dF/dlambda^m by differences."""
-    h1, h2 = _steps(at, GRAD_STEP)
-    f0 = F(at)
-    return at.lambda1 * _d1(F, at, 0, h1) + at.lambda2 * _d1(F, at, 1, h2) - f0
+    one, l1, l2, h1, h2, v = _stencil(F, at, GRAD_STEP, _CENTRE_AXES)
+    return _results(one, l1 * _d1(v, 0, h1) + l2 * _d1(v, 1, h2) - v[0.0, 0.0])
 
 
 # --------------------------------------------------------------------------
@@ -313,15 +324,15 @@ def _joint_statistics(energies: tuple[float, ...], count: int) -> tuple[np.ndarr
     return a1, a2
 
 
-def _level_logits(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
-    # log q_i of the per-level Boltzmann ratio q_i = xi * exp(-beta * eps_i)
-    return -at.lambda1 * np.asarray(spec.energies) - at.lambda2
+def _level_logits(spec: FockEnsembleSpec, lambda1, lambda2) -> np.ndarray:
+    # log q_i of the per-level Boltzmann ratio q_i = xi * exp(-beta * eps_i), a row per point
+    return -lambda1 * np.asarray(spec.energies) - lambda2
 
 
-def _bose_ratios(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
+def _bose_ratios(spec: FockEnsembleSpec, lambda1, lambda2) -> np.ndarray:
     # Bose levels must have q_i < 1 or the occupancy cap would matter;
     # capping log q_i at 0 keeps exp from overflowing on a rejected level
-    t = _level_logits(spec, at)
+    t = _level_logits(spec, lambda1, lambda2)
     q = np.exp(np.minimum(t, 0.0))
     if np.any(q >= 1.0):
         raise DomainError(
@@ -330,21 +341,21 @@ def _bose_ratios(spec: FockEnsembleSpec, at: LagrangeCoords) -> np.ndarray:
     return q
 
 
-def _product_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
+def _product_log_partition(spec: FockEnsembleSpec, lambda1, lambda2):
     if spec.statistics == "fd":  # log(1 + q_i), never forming a q_i > 1, which can overflow
-        t = _level_logits(spec, at)
-        return float(np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
+        t = _level_logits(spec, lambda1, lambda2)
+        return np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))), axis=-1)
     # truncated geometric sum per level, matching the enumeration exactly
-    q = _bose_ratios(spec, at)
+    q = _bose_ratios(spec, lambda1, lambda2)
     cap = spec.be_occupancy_cap
-    return float(np.sum(np.log1p(-q ** (cap + 1)) - np.log1p(-q)))
+    return np.sum(np.log1p(-q ** (cap + 1)) - np.log1p(-q), axis=-1)
 
 
 def fock_be_tail_bound(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     """Bound on |log Z_truncated - log Z_exact| from the occupancy cap."""
     if spec.statistics != "be" or len(spec.energies) == 0:
         return 0.0
-    q = _bose_ratios(spec, at)
+    q = _bose_ratios(spec, at.lambda1, at.lambda2)
     cap = spec.be_occupancy_cap
     return float(np.sum(q ** (cap + 1) / (1.0 - q)))
 
@@ -356,7 +367,7 @@ def _logit_blocks(spec: FockEnsembleSpec, at: LagrangeCoords):
     # to a chunk of the leading levels' table, or of a lone leading level's
     # occupancy axis (which may be longer than _BLOCK): nothing is state-sized
     if spec.statistics == "be":
-        _bose_ratios(spec, at)  # rejects Bose levels with q_i >= 1
+        _bose_ratios(spec, at.lambda1, at.lambda2)  # rejects Bose levels with q_i >= 1
     count, levels = spec.occupancy_count, spec.energies
     split = next(k for k in range(len(levels) + 1) if count ** (len(levels) - k) <= _BLOCK)
     t1, t2 = _joint_statistics(levels[split:], count)
@@ -403,7 +414,7 @@ def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     the product value is returned.  For Bose statistics the truncation tail
     against the untruncated closed form is bounded by :func:`fock_be_tail_bound`.
     """
-    product = _product_log_partition(spec, at)
+    product = float(_product_log_partition(spec, at.lambda1, at.lambda2))
     enumerated = _log_z_and_means(spec, at)[0]
     if not math.isfinite(product) or abs(product - enumerated) > 1e-12 * max(1.0, abs(product)):
         raise ArithmeticError(
@@ -446,5 +457,5 @@ def fock_entropy(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
 
 
 def fock_free_energy_field(spec: FockEnsembleSpec) -> FreeEnergyField:
-    """F = -log Z of the ensemble as a differentiable field (product form)."""
-    return lambda at: -_product_log_partition(spec, at)
+    """F = -log Z of the ensemble as a field (product form), over points x levels at once."""
+    return lambda lambda1, lambda2: -_product_log_partition(spec, lambda1[:, None], lambda2[:, None])

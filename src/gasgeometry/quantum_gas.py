@@ -45,9 +45,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from .errors import (ConditioningWarning, DomainError, PolylogOverflowError,
                      SingularMetricError)
-from .gibbs_core import FreeEnergyField, LagrangeCoords, MetricTensor2
+from .gibbs_core import FreeEnergyField, LagrangeCoords, MetricField, MetricTensor2
 from .special_functions import gamma_real, polylog, polylog_step_down
 
 __all__ = [
@@ -204,31 +206,34 @@ def _ground_terms(xi: float) -> tuple[float, float]:
 # [None] * 4).  A value that raises is not kept: each point raises it
 # again, as it would on its own.
 
+def _column_value(model: GasModel, xi: float, j: int) -> float:
+    # L(eta+j) = -Li(-xi, .) (fd), Li(xi, .) (Bose) or xi (classical);
+    # negation is exact, so carrying the sign on L changes no bit
+    if model.statistics == FERMI_DIRAC:
+        return -polylog(-xi, model.eta + j)
+    if model.statistics == CLASSICAL_IDEAL:
+        return xi  # classical: leading polylog term exactly
+    return polylog(xi, model.eta + j)
+
+
+def _ladder_factor(model: GasModel, beta: float, k: int) -> float:
+    # c_k; outside the float range it is inf, as is every rung that uses it (L > 0)
+    try:
+        return model.kappa * gamma_real(model.eta + k) / beta ** (model.eta + k)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _rung(model: GasModel, p: ThermoPoint, column: list, ladder: list, k: int, j: int) -> float:
     # T(k, j) = c_k L_j, the same product and bits as
     # kappa * Gamma(eta+k) / beta**(eta+k) * L; a rung outside the float
     # range raises DomainError, not a bare error
     l = column[j]
     if l is None:
-        # L(eta+j) = -Li(-xi, .) (fd), Li(xi, .) (Bose) or xi (classical);
-        # negation is exact, so carrying the sign on L changes no bit
-        if model.statistics == FERMI_DIRAC:
-            l = -polylog(-p.xi, model.eta + j)
-        elif model.statistics == CLASSICAL_IDEAL:
-            l = p.xi  # classical: leading polylog term exactly
-        else:
-            l = polylog(p.xi, model.eta + j)
-        column[j] = l
+        l = column[j] = _column_value(model, p.xi, j)
     c = ladder[k]
     if c is None:
-        # a factor outside the float range is inf, and so is every rung
-        # that uses it (L > 0)
-        order = model.eta + k
-        try:
-            c = model.kappa * gamma_real(order) / p.beta ** order
-        except (OverflowError, ZeroDivisionError):
-            c = math.inf
-        ladder[k] = c
+        c = ladder[k] = _ladder_factor(model, p.beta, k)
     out = c * l
     if out == 0.0 or math.isinf(out):
         raise DomainError(f"a ladder term leaves the float range at beta = {p.beta!r} and xi = {p.xi!r}")
@@ -598,15 +603,39 @@ def dos_catalog(system: str, dims: int = 3) -> DensityOfStatesEntry:
 # adapters to the generic geometry engine
 # --------------------------------------------------------------------------
 
+def _batch_rungs(model: GasModel, lambda1: np.ndarray, lambda2: np.ndarray, *rungs) -> tuple:
+    # (a row of T(k, j) per rung, the distinct xi, each point's index into them): each distinct
+    # lambda1 and lambda2 is checked and makes its ladder, or xi and column, once, as _rung does
+    (betas, bi), (ys, yi) = (np.unique(x, return_inverse=True) for x in (lambda1, lambda2))
+    betas = [LagrangeCoords(b, 0.0).lambda1 for b in betas.tolist()]
+    xis = [LagrangeCoords(1.0, y).xi for y in ys.tolist()]
+    for xi in xis:
+        _require_point(model, ThermoPoint(1.0, xi))
+    with np.errstate(over="ignore"):  # a rung past the float range fails the check
+        t = (np.array([[_ladder_factor(model, b, k) for b in betas] for k, _ in rungs])[:, bi]
+             * np.array([[_column_value(model, xi, j) for xi in xis] for _, j in rungs])[:, yi])
+    bad = np.flatnonzero(((t == 0.0) | np.isinf(t)).any(axis=0))
+    if bad.size:
+        raise DomainError(f"a ladder term leaves the float range at beta = "
+                          f"{float(lambda1[bad[0]])!r} and xi = {xis[yi[bad[0]]]!r}")
+    return t, xis, yi
+
+
 def free_energy_field(model: GasModel) -> FreeEnergyField:
-    """The model's free energy as a field; DomainError outside the model's domain."""
-    return lambda at: free_energy(model, ThermoPoint.from_coords(at))
+    """The model's free energy as a field, with free_energy's bits at each point."""
+    def field(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+        (t,), xis, yi = _batch_rungs(model, lambda1, lambda2, (1, 2))
+        if model.statistics == BOSE_EINSTEIN:
+            return -t + np.array([math.log1p(-xi) for xi in xis])[yi]
+        return -t
+    return field
 
 
-def metric_field(model: GasModel) -> Callable[[LagrangeCoords], MetricTensor2]:
-    """The closed-form metric as a field over Lagrange coordinates."""
-
-    def field(at: LagrangeCoords) -> MetricTensor2:
-        return metric(model, ThermoPoint.from_coords(at))
-
+def metric_field(model: GasModel) -> MetricField:
+    """The closed-form metric as a field, with metric's bits at each point."""
+    def field(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple:
+        (g22, g11, g12), xis, yi = _batch_rungs(model, lambda1, lambda2, (1, 0), (3, 2), (2, 1))
+        if model.statistics == BOSE_EINSTEIN:
+            g22 = g22 + np.array([_ground_terms(xi)[0] for xi in xis])[yi]
+        return g11, g12, g22
     return field

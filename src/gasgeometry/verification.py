@@ -122,10 +122,9 @@ def suite_fock_identities() -> SuiteResult:
     worst_id2 = 0.0
     points = (LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9))
     for spec in _fock_fixtures():
-        field = gibbs_core.fock_free_energy_field(spec)
-        for at in points:
+        hessians = gibbs_core.hessian_metric(gibbs_core.fock_free_energy_field(spec), points)
+        for at, hess in zip(points, hessians):
             _, _, cov = gibbs_core.fock_moments(spec, at)
-            hess = gibbs_core.hessian_metric(field, at)
             for c, h in zip(cov.entries(), hess.entries()):
                 worst_id1 = max(worst_id1, abs(c - h) / max(abs(c), 1e-30))
             # identity 2 along both axes: column n of g equals -dA/dlambda^n
@@ -156,6 +155,12 @@ _GRID_XI = {
 }
 
 
+def _averages(model: GasModel, lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    # (U, N) by the public closed form, point by point: the engine's one path to a closed form
+    return np.array([quantum_gas.averages(model, ThermoPoint.from_coords(LagrangeCoords(*c)))
+                     for c in zip(lambda1.tolist(), lambda2.tolist())]).T
+
+
 def suite_metric_oracles() -> SuiteResult:
     """Closed-form metric vs finite-difference Hessian/Jacobian, 5x5 grids."""
     tol = 1e-6
@@ -163,19 +168,14 @@ def suite_metric_oracles() -> SuiteResult:
     for stat, xis in _GRID_XI.items():
         for eta in (0.5, 2.0):
             model = GasModel(stat, eta=eta, kappa=1.0)
-            field = quantum_gas.free_energy_field(model)
-            for beta in _GRID_BETA:
-                for xi in xis:
-                    p = ThermoPoint(beta, xi)
-                    at = p.to_coords()
-                    closed = quantum_gas.metric(model, p)
-                    if stat == quantum_gas.BOSE_EINSTEIN:
-                        oracle = gibbs_core.jacobian_metric(
-                            lambda c: quantum_gas.averages(model, ThermoPoint.from_coords(c)), at)
-                    else:
-                        oracle = gibbs_core.hessian_metric(field, at)
-                    for a, b in zip(closed.entries(), oracle.entries()):
-                        worst = max(worst, _rel(a, b))
+            points = [ThermoPoint(beta, xi) for beta in _GRID_BETA for xi in xis]
+            coords = [p.to_coords() for p in points]
+            oracles = (gibbs_core.jacobian_metric(functools.partial(_averages, model), coords)
+                       if stat == quantum_gas.BOSE_EINSTEIN else
+                       gibbs_core.hessian_metric(quantum_gas.free_energy_field(model), coords))
+            for p, oracle in zip(points, oracles):
+                for a, b in zip(quantum_gas.metric(model, p).entries(), oracle.entries()):
+                    worst = max(worst, _rel(a, b))
     return _result("metric closed form vs difference oracle", tol, worst)
 
 
@@ -189,13 +189,14 @@ def suite_curvature_routes() -> SuiteResult:
                  quantum_gas.BOSE_EINSTEIN_NO_GROUND):
         for eta in (0.5, 2.0):
             model = GasModel(stat, eta=eta, kappa=1.0)
-            gfield = functools.cache(quantum_gas.metric_field(model))  # one stencil, two routes
-            for s in quantum_gas.geometry_grid(model, _GRID_BETA, _GRID_XI[stat]):
+            samples = list(quantum_gas.geometry_grid(model, _GRID_BETA, _GRID_XI[stat]))
+            for s in samples:
                 if isinstance(s, Exception):
                     raise s  # as geometry_sample would have raised it
-                at = s.point.to_coords()
-                r_det = gibbs_core.scalar_curvature_det(gfield, at)
-                r_riem = gibbs_core.scalar_curvature_riemann(gfield, at)
+            coords = [s.point.to_coords() for s in samples]
+            r_dets = gibbs_core.scalar_curvature_det(quantum_gas.metric_field(model), coords)
+            r_riems = gibbs_core.scalar_curvature_riemann(quantum_gas.metric_field(model), coords)
+            for s, r_det, r_riem in zip(samples, r_dets.tolist(), r_riems.tolist()):
                 worst_routes = max(worst_routes, _rel(r_det, r_riem))
                 worst_closed = max(worst_closed, _rel(r_det, s.R), _rel(r_riem, s.R))
     passed = bool(worst_routes <= tol_routes and worst_closed <= tol_closed)
@@ -210,13 +211,12 @@ def suite_classical_flatness() -> SuiteResult:
     tol = 1e-8
     worst = 0.0
     model = GasModel(quantum_gas.CLASSICAL_IDEAL, eta=0.5, kappa=1.0)
-    gfield = quantum_gas.metric_field(model)
-    for beta in np.geomspace(0.1, 10.0, 10):
-        for xi in np.linspace(0.1, 2.0, 10):
-            p = ThermoPoint(float(beta), float(xi))
-            if quantum_gas.geometry_sample(model, p).R != 0.0:
-                return _result("classical flatness", tol, math.inf, "closed form not exactly 0")
-            worst = max(worst, abs(gibbs_core.scalar_curvature_det(gfield, p.to_coords())))
+    points = [ThermoPoint(float(beta), float(xi)) for beta in np.geomspace(0.1, 10.0, 10)
+              for xi in np.linspace(0.1, 2.0, 10)]
+    if any(quantum_gas.geometry_sample(model, p).R != 0.0 for p in points):
+        return _result("classical flatness", tol, math.inf, "closed form not exactly 0")
+    r = gibbs_core.scalar_curvature_det(quantum_gas.metric_field(model), [p.to_coords() for p in points])
+    worst = max([worst, *map(abs, r.tolist())])
     return _result("classical flatness", tol, worst)
 
 

@@ -261,15 +261,37 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def _batch_sizes(monkeypatch, name):
+    # replaces the field factory qg.name by one whose fields record the
+    # number of points of each call
+    sizes = []
+    factory = getattr(qg, name)
+
+    def counting(model):
+        field = factory(model)
+
+        def counted(lambda1, lambda2):
+            sizes.append(len(lambda1))
+            return field(lambda1, lambda2)
+        return counted
+
+    monkeypatch.setattr(qg, name, counting)
+    return sizes
+
+
 def test_verify_computes_each_pass_and_stencil_point_once(monkeypatch):
     # identity 1 and the centre covariance take one fock_moments call per
     # fixture and point; identity 2's four stencil points read the means
-    # alone; the Riemann route reads the determinant route's metric values,
-    # and the closed-form R makes one determinant bundle per xi column
+    # alone; each curvature route and each Hessian oracle calls its field
+    # once, on every stencil point of the model's grid, and the closed-form
+    # R makes one determinant bundle per xi column
     moments, means = (_counted(monkeypatch, gc, n) for n in ("fock_moments", "fock_means"))
     assert_passes(verification.suite_fock_identities())
     assert (len(moments), len(means)) == (5 * 2, 5 * 2 * 4)
-    metric, bundles = (_counted(monkeypatch, qg, n) for n in ("metric", "det_bundle"))
+    metric, bundles = _batch_sizes(monkeypatch, "metric_field"), _counted(monkeypatch, qg, "det_bundle")
     assert_passes(verification.suite_curvature_routes())
-    assert len(metric) == 3 * 2 * 25 * 9  # statistics x eta x grid points x stencil
+    assert metric == [25 * 9] * (3 * 2 * 2)  # grid points x stencil; statistics x eta x route
     assert len(bundles) == 3 * 2 * 5  # statistics x eta x xi columns
+    energy = _batch_sizes(monkeypatch, "free_energy_field")
+    assert_passes(verification.suite_metric_oracles())
+    assert energy == [25 * 17] * (3 * 2)  # grid points x stencil; fd, be0, classical x eta

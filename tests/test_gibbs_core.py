@@ -42,10 +42,17 @@ def test_lagrange_coords_validation_and_fugacity():
 _FD = qg.GasModel("fd", eta=0.5, kappa=1.0)
 
 
+def averages_field(model):
+    # (U, N) of the closed form as an array field, one averages call per point
+    def field(lambda1, lambda2):
+        return np.array([qg.averages(model, qg.ThermoPoint.from_coords(LagrangeCoords(*c)))
+                         for c in zip(lambda1.tolist(), lambda2.tolist())]).T
+    return field
+
+
 @pytest.mark.parametrize("entry", [
     lambda at: gc.hessian_metric(qg.free_energy_field(_FD), at),
-    lambda at: gc.jacobian_metric(
-        lambda c: qg.averages(_FD, qg.ThermoPoint.from_coords(c)), at),
+    lambda at: gc.jacobian_metric(averages_field(_FD), at),
     lambda at: gc.scalar_curvature_det(qg.metric_field(_FD), at),
     lambda at: gc.scalar_curvature_riemann(qg.metric_field(_FD), at),
     lambda at: gc.legendre_entropy(qg.free_energy_field(_FD), at),
@@ -65,8 +72,8 @@ def test_fugacity_past_the_double_range_is_a_domain_error(entry):
 # ---------------------------------------------------------------------------
 
 def test_hessian_of_bilinear_form_is_degenerate():
-    def field(c):
-        return -(c.lambda1 * c.lambda2)
+    def field(lambda1, lambda2):
+        return -(lambda1 * lambda2)
 
     with pytest.warns(ConditioningWarning):
         g = gc.hessian_metric(field, LagrangeCoords(1.3, 0.4))
@@ -98,7 +105,7 @@ def test_hessian_stencil_domain_error():
     # the centre is a valid Bose point, but the lambda2 stencil reaches xi > 1
     field = qg.free_energy_field(qg.GasModel("be", eta=0.5, kappa=1.0))
     at = qg.ThermoPoint(1.0, 1.0 - 1e-4).to_coords()
-    field(at)
+    field(np.array([at.lambda1]), np.array([at.lambda2]))
     with pytest.raises(DomainError):
         gc.hessian_metric(field, at)
 
@@ -106,11 +113,7 @@ def test_hessian_stencil_domain_error():
 def test_jacobian_metric_matches_hessian_for_gradient_pair():
     model = qg.GasModel("fd", eta=0.5, kappa=1.0)
     at = qg.ThermoPoint(1.2, 0.6).to_coords()
-
-    def avg(c):
-        return qg.averages(model, qg.ThermoPoint.from_coords(c))
-
-    gj = gc.jacobian_metric(avg, at)
+    gj = gc.jacobian_metric(averages_field(model), at)
     gh = gc.hessian_metric(qg.free_energy_field(model), at)
     for a, b in zip(gj.entries(), gh.entries()):
         assert a == pytest.approx(b, rel=1e-6)
@@ -147,8 +150,8 @@ def test_stencils_are_exact_on_a_quartic_field(coarse_steps):
     x, y = 1.0, 0.5
     at = LagrangeCoords(x, y)
     # F = -Q, so g = Hess Q is positive definite and A = dF/dlambda = -grad Q
-    def field(c):
-        return -quartic(c.lambda1, c.lambda2)
+    def field(lambda1, lambda2):
+        return -quartic(lambda1, lambda2)
 
     grad = quartic_gradient(x, y)
     hess = quartic_hessian(x, y)
@@ -156,8 +159,8 @@ def test_stencils_are_exact_on_a_quartic_field(coarse_steps):
     g = gc.hessian_metric(field, at)
     assert g.entries() == pytest.approx(hess, rel=1e-10, abs=1e-10)
 
-    def avg(c):
-        gx, gy = quartic_gradient(c.lambda1, c.lambda2)
+    def avg(lambda1, lambda2):
+        gx, gy = quartic_gradient(lambda1, lambda2)
         return -gx, -gy
 
     gj = gc.jacobian_metric(avg, at)
@@ -174,9 +177,6 @@ def test_curvature_stencils_are_exact_on_a_polynomial_metric(coarse_steps):
         return (3 * x**4 + 1.2 * x * y**3 + 2, 1.8 * x * x * y * y,
                 1.2 * x**3 * y + 3 * y**4 + 2)
 
-    def gfield(c):
-        return MetricTensor2(*metric(c.lambda1, c.lambda2))
-
     x, y = 1.2, 0.7
     d1g = (12 * x**3 + 1.2 * y**3, 3.6 * x * y * y, 3.6 * x * x * y)
     d2g = (3.6 * x * y * y, 3.6 * x * x * y, 1.2 * x**3 + 12 * y**3)
@@ -184,8 +184,8 @@ def test_curvature_stencils_are_exact_on_a_polynomial_metric(coarse_steps):
     detg = g11 * g22 - g12 * g12
     expected = -np.linalg.det(np.array([metric(x, y), d1g, d2g])) / (2 * detg * detg)
     at = LagrangeCoords(x, y)
-    assert gc.scalar_curvature_det(gfield, at) == pytest.approx(expected, rel=1e-10)
-    assert gc.scalar_curvature_riemann(gfield, at) == pytest.approx(expected, rel=1e-10)
+    assert gc.scalar_curvature_det(metric, at) == pytest.approx(expected, rel=1e-10)
+    assert gc.scalar_curvature_riemann(metric, at) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_curvature_stencils_are_exact_on_a_polynomial_metric(coarse_steps):
 # ---------------------------------------------------------------------------
 
 def constant_metric_field(g11=2.0, g12=0.3, g22=1.0):
-    return lambda c: MetricTensor2(g11, g12, g22)
+    return lambda lambda1, lambda2: tuple(np.full_like(lambda1, g) for g in (g11, g12, g22))
 
 
 def test_constant_metric_has_zero_curvature():
@@ -232,11 +232,12 @@ def test_trinomial_sphere_curvature(monkeypatch):
     monkeypatch.setattr(gc, "HESS_STEP", 1e-3)
     monkeypatch.setattr(gc, "GRAD_STEP", 2e-2)
 
-    def F(c):
-        return -math.log(1.0 + math.exp(-c.lambda1) + math.exp(-c.lambda2))
+    def F(lambda1, lambda2):
+        return -np.log(1.0 + np.exp(-lambda1) + np.exp(-lambda2))
 
-    def gfield(c):
-        return gc.hessian_metric(F, c)
+    def gfield(lambda1, lambda2):
+        gs = gc.hessian_metric(F, [LagrangeCoords(*c) for c in zip(lambda1.tolist(), lambda2.tolist())])
+        return np.array([g.entries() for g in gs]).T
 
     for at in (LagrangeCoords(0.3, -0.2), LagrangeCoords(1.0, 0.5)):
         assert gc.scalar_curvature_det(gfield, at) == pytest.approx(0.5, rel=2e-4)
@@ -263,10 +264,139 @@ def test_hessian_symmetry_of_gas_metric_derivatives():
         def d(axis, entry):
             plus = at.shifted(h, 0.0) if axis == 0 else at.shifted(0.0, h)
             minus = at.shifted(-h, 0.0) if axis == 0 else at.shifted(0.0, -h)
-            return (gfield(plus).entries()[entry] - gfield(minus).entries()[entry]) / (2 * h)
+            g = gfield(np.array([plus.lambda1, minus.lambda1]),
+                       np.array([plus.lambda2, minus.lambda2]))[entry]
+            return (g[0] - g[1]) / (2 * h)
 
         assert d(0, 1) == pytest.approx(d(1, 0), rel=1e-6)  # d1 g12 = d2 g11
         assert d(0, 2) == pytest.approx(d(1, 1), rel=1e-6)  # d1 g22 = d2 g12
+
+
+# ---------------------------------------------------------------------------
+# batches: a sequence of points is one field call with the bits of each point
+# ---------------------------------------------------------------------------
+
+_BATCH = [qg.ThermoPoint(beta, xi).to_coords() for beta in (0.6, 1.0, 1.7) for xi in (0.2, 0.5, 0.8)]
+
+
+def entry_points(model):
+    F, G = qg.free_energy_field(model), qg.metric_field(model)
+    return {
+        "hessian_metric": lambda at: gc.hessian_metric(F, at),
+        "jacobian_metric": lambda at: gc.jacobian_metric(averages_field(model), at),
+        "scalar_curvature_det": lambda at: gc.scalar_curvature_det(G, at),
+        "scalar_curvature_riemann": lambda at: gc.scalar_curvature_riemann(G, at),
+        "legendre_entropy": lambda at: gc.legendre_entropy(F, at),
+    }
+
+
+def hexes(value):
+    if isinstance(value, MetricTensor2):
+        return value.g11.hex(), value.g12.hex(), value.g22.hex()
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("stat", ["fd", "be"])
+def test_one_point_gives_python_floats(stat):
+    at = qg.ThermoPoint(1.0, 0.5).to_coords()
+    for name, entry in entry_points(qg.GasModel(stat, eta=0.5, kappa=1.0)).items():
+        got = entry(at)
+        values = (got.g11, got.g12, got.g22) if isinstance(got, MetricTensor2) else (got,)
+        assert all(type(v) is float for v in values), (name, got)
+
+
+@pytest.mark.parametrize("eta", [0.5, 2.0])
+@pytest.mark.parametrize("stat", ["fd", "be", "be0", "classical"])
+def test_a_batch_has_the_bits_of_its_points(stat, eta):
+    for name, entry in entry_points(qg.GasModel(stat, eta=eta, kappa=1.0)).items():
+        batch = entry(_BATCH)
+        assert len(batch) == len(_BATCH), name
+        assert [hexes(v) for v in batch] == [hexes(entry(at)) for at in _BATCH], name
+
+
+def scalar_engine(model, at):
+    # the point-by-point engine the batch one replaced, on the scalar closed
+    # forms in Python floats, in the same operation order
+    def F(l1, l2):
+        return qg.free_energy(model, qg.ThermoPoint.from_coords(LagrangeCoords(l1, l2)))
+
+    def G(l1, l2):
+        return qg.metric(model, qg.ThermoPoint.from_coords(LagrangeCoords(l1, l2))).entries()
+
+    def A(l1, l2):
+        return np.array(qg.averages(model, qg.ThermoPoint.from_coords(LagrangeCoords(l1, l2))))
+
+    def richardson(estimate):
+        return (4.0 * estimate(0.5) - estimate(1.0)) / 3.0
+
+    def d1(f, h, axis):
+        def estimate(c):
+            s = c * h
+            plus, minus = ((s, 0.0), (-s, 0.0)) if axis == 0 else ((0.0, s), (0.0, -s))
+            return (f(x + plus[0], y + plus[1]) - f(x + minus[0], y + minus[1])) / (2.0 * s)
+        return richardson(estimate)
+
+    x, y = at.lambda1, at.lambda2
+    h1, h2 = (gc.HESS_STEP * max(1.0, abs(v)) for v in (x, y))
+    f0 = F(x, y)
+    g11 = -richardson(lambda c: (F(x + c * h1, y + 0.0) - 2.0 * f0 + F(x + -(c * h1), y + 0.0))
+                      / ((c * h1) * (c * h1)))
+    g22 = -richardson(lambda c: (F(x + 0.0, y + c * h2) - 2.0 * f0 + F(x + 0.0, y + -(c * h2)))
+                      / ((c * h2) * (c * h2)))
+    g12 = -richardson(lambda c: (F(x + c * h1, y + c * h2) - F(x + c * h1, y - c * h2)
+                                 - F(x - c * h1, y + c * h2) + F(x - c * h1, y - c * h2))
+                      / (4.0 * (c * h1) * (c * h2)))
+    h1, h2 = (gc.GRAD_STEP * max(1.0, abs(v)) for v in (x, y))
+    (du1, dn1), (du2, dn2) = d1(A, h1, 0), d1(A, h2, 1)
+    g0, dg = G(x, y), (d1(G, h1, 0), d1(G, h2, 1))
+    detg = g0[0] * g0[2] - g0[1] * g0[1]
+    ginv = np.array([[g0[2], -g0[1]], [-g0[1], g0[0]]]) / detg
+    r1212 = 0.0
+    for o in range(2):
+        for w in range(2):
+            r1212 += ginv[o, w] * (dg[o][1] * dg[w][1] - dg[o][0] * dg[w][2])
+    return {
+        "hessian_metric": MetricTensor2(g11, g12, g22),
+        "jacobian_metric": MetricTensor2(-du1, -0.5 * (dn1 + du2), -dn2),
+        "scalar_curvature_det": -np.linalg.det(np.array([g0, *dg])) / (2.0 * detg * detg),
+        "scalar_curvature_riemann": 2.0 * (r1212 * 0.25) / detg,
+        "legendre_entropy": x * d1(F, h1, 0) + y * d1(F, h2, 1) - f0,
+    }
+
+
+@pytest.mark.parametrize("eta", [0.5, 2.0])
+@pytest.mark.parametrize("stat", ["fd", "be", "be0", "classical"])
+def test_a_batch_has_the_bits_of_the_point_by_point_engine(stat, eta):
+    model = qg.GasModel(stat, eta=eta, kappa=1.0)
+    reference = [scalar_engine(model, at) for at in _BATCH]
+    for name, entry in entry_points(model).items():
+        assert [hexes(v) for v in entry(_BATCH)] == [hexes(r[name]) for r in reference], name
+
+
+@pytest.mark.parametrize("spec", [FockEnsembleSpec((0.5, 1.0, 1.5, 2.2, 3.1, 4.0), "fd"),
+                                  FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60)],
+                         ids=lambda s: s.statistics)
+def test_a_fock_batch_has_the_bits_of_its_points(spec):
+    field = gc.fock_free_energy_field(spec)
+    points = [LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9)]
+    batch = gc.hessian_metric(field, points)
+    assert [hexes(g) for g in batch] == [hexes(gc.hessian_metric(field, at)) for at in points]
+
+
+@pytest.mark.parametrize("name", list(entry_points(_FD)))
+def test_a_batch_with_one_point_outside_the_domain_raises(name):
+    entry = entry_points(qg.GasModel("be", eta=0.5, kappa=1.0))[name]
+    entry(_BATCH)
+    with pytest.raises(DomainError):
+        entry([*_BATCH, qg.ThermoPoint(1.0, 1.5).to_coords()])  # Bose xi > 1
+
+
+def test_a_fock_batch_with_one_point_outside_the_domain_raises():
+    field = gc.fock_free_energy_field(FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60))
+    with pytest.raises(DomainError):  # xi exp(-beta eps_1) > 1 at the last point
+        gc.hessian_metric(field, [LagrangeCoords(1.0, 0.3), LagrangeCoords(1.0, -2.0)])
+    with pytest.raises(DomainError):
+        field(np.array([1.0, 1.0]), np.array([0.3, -2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +605,7 @@ def _reference_logsumexp(a):
 
 def _reference_log_rho(spec, at):
     if spec.statistics == "be":
-        gc._bose_ratios(spec, at)
+        gc._bose_ratios(spec, at.lambda1, at.lambda2)
     a1, a2 = _reference_statistics(spec)
     logits = -at.lambda1 * a1 - at.lambda2 * a2
     return logits - _reference_logsumexp(logits)
@@ -528,7 +658,8 @@ def test_blocked_enumeration_matches_the_full_array_reference(spec):
         for got, want in zip((u, n, *cov.entries()), (ru, rn, *rcov.entries())):
             assert _close(got, want), (at, got, want)
         assert _close(gc._log_z_and_means(spec, at)[0], _reference_log_partition(spec, at))
-        assert gc.fock_log_partition(spec, at) == gc._product_log_partition(spec, at)
+        assert gc.fock_log_partition(spec, at) == gc._product_log_partition(spec, at.lambda1,
+                                                                            at.lambda2)
         assert _close(gc.fock_entropy(spec, at), _reference_entropy(spec, at))
 
 

@@ -120,7 +120,8 @@ def test_free_energy_gradient_reproduces_averages(stat):
     def d(axis):
         plus = at.shifted(h, 0.0) if axis == 0 else at.shifted(0.0, h)
         minus = at.shifted(-h, 0.0) if axis == 0 else at.shifted(0.0, -h)
-        return (field(plus) - field(minus)) / (2 * h)
+        f = field(np.array([plus.lambda1, minus.lambda1]), np.array([plus.lambda2, minus.lambda2]))
+        return (f[0] - f[1]) / (2 * h)
 
     u, n = qg.averages(model, p)
     assert d(0) == pytest.approx(u, rel=1e-8)
@@ -207,8 +208,10 @@ def test_metric_be_matches_jacobian_oracle():
     p = qg.ThermoPoint(1.0, 0.9)
     closed = qg.metric(model, p)
 
-    def avg(c):
-        return qg.averages(model, qg.ThermoPoint.from_coords(c))
+    def avg(lambda1, lambda2):
+        # (U, N) as an array field, one averages call per point
+        return np.array([qg.averages(model, qg.ThermoPoint(b, math.exp(-y)))
+                         for b, y in zip(lambda1.tolist(), lambda2.tolist())]).T
 
     oracle = gc.jacobian_metric(avg, p.to_coords())
     for a, b in zip(closed.entries(), oracle.entries()):
