@@ -11,16 +11,16 @@ nothing about gases: it differentiates arbitrary free-energy fields and
 metric fields numerically (central differences with one Richardson
 halving), computes the scalar curvature of 2-d Hessian metrics by two
 independent routes, and carries an exact finite Fock-space enumeration
-that serves as the ground-truth oracle for all of it.  The enumeration runs
-over the joint states in blocks of 8,192, each made from small level tables
-of its own call, so a call holds at most about 1.2 MB at any state count.
+that serves as the ground-truth oracle for all of it.  The enumeration makes
+one sweep over the joint states for up to 8 points at a time, in blocks of
+8,192 per point, so a call holds at most about 2.3 MB at any size.
 
 A field takes a batch of points as equal-length float64 arrays (lambda1,
 lambda2) and returns an array (free energy), the triple (g11, g12, g22)
 (metric) or the pair (U, N) (averages), or raises DomainError if any point is
-outside its domain.  An entry point takes one LagrangeCoords, giving a float
-or a MetricTensor2 of floats, or a sequence, giving an array or a list with
-the same bits per point, and calls its field once, on every stencil point.
+outside its domain.  An entry point or a Fock oracle takes one LagrangeCoords,
+giving floats or MetricTensor2s of floats, or a sequence, giving arrays or lists
+with the same bits per point; an entry point calls its field once.
 
 Curvature convention: a two-sphere has positive scalar curvature.  For a
 Hessian metric the Levi-Civita scalar curvature reduces to
@@ -136,17 +136,26 @@ _CENTRE_AXES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.5, 0.0), (-0.5, 0.0),
 _CORNERS = tuple((c * a, c * b) for c in (1.0, 0.5) for a in (1.0, -1.0) for b in (1.0, -1.0))
 
 
+def _points(at: Points) -> tuple[bool, np.ndarray, np.ndarray]:
+    # whether `at` is one point, and the points' coordinates as two arrays
+    one = isinstance(at, LagrangeCoords)
+    return one, *np.array([(p.lambda1, p.lambda2) for p in ((at,) if one else at)]).reshape(-1, 2).T
+
+
+def _require_domain(lambda1, lambda2) -> None:
+    if not np.all(np.isfinite(lambda1) & np.isfinite(lambda2) & (lambda1 > 0.0)):
+        raise DomainError("a point leaves the finite coordinates with lambda1 > 0")
+
+
 def _stencil(field: Callable, at: Points, base: float, offsets: tuple) -> tuple:
     # (one, lambda1, lambda2, h1, h2, v): whether `at` is one point, the points' coordinates
     # and steps as arrays, and v[offset], the field at that offset of each point, from one call
-    one = isinstance(at, LagrangeCoords)
-    l1, l2 = np.array([(p.lambda1, p.lambda2) for p in ((at,) if one else at)]).reshape(-1, 2).T
+    one, l1, l2 = _points(at)
     h1, h2 = base * np.maximum(1.0, np.abs(l1)), base * np.maximum(1.0, np.abs(l2))
     s = np.array(offsets)
     with np.errstate(over="ignore"):  # a point past the double range fails the check
         x1, x2 = (l1 + s[:, :1] * h1).ravel(), (l2 + s[:, 1:] * h2).ravel()
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all() and (x1 > 0.0).all()):
-        raise DomainError("a stencil point leaves the finite coordinates with lambda1 > 0")
+    _require_domain(x1, x2)
     v = np.asarray(field(x1, x2), dtype=float)
     v = v.reshape(v.shape[:-1] + (len(offsets), l1.size))
     return one, l1, l2, h1, h2, {o: v[..., i, :] for i, o in enumerate(offsets)}
@@ -314,13 +323,13 @@ class FockEnsembleSpec:
         return self.occupancy_count ** len(self.energies)
 
 
-def _joint_statistics(energies: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
-    # a1 = sum_i eps_i x_i (energy) and a2 = sum_i x_i (number) of every joint
-    # state of the levels, x_i in 0..count-1, the last level varying fastest
-    a1 = a2 = np.zeros(1)
-    for eps in energies:  # the axis is made per level: with no level, count may be past any array
-        occ = np.arange(count, dtype=float)
-        a1, a2 = np.add.outer(a1, eps * occ).ravel(), np.add.outer(a2, occ).ravel()
+def _joint_statistics(energies: tuple[float, ...], count: int, lo: int, hi: int) -> tuple:
+    # a1 = sum_i eps_i x_i (energy) and a2 = sum_i x_i (number) of the joint states lo..hi-1
+    # of the levels, x_i in 0..count-1, the last level varying fastest
+    index, a1, a2 = np.arange(lo, hi), np.zeros(hi - lo), np.zeros(hi - lo)
+    for k, eps in enumerate(energies):
+        occ = (index // count ** (len(energies) - 1 - k) % count).astype(float)
+        a1, a2 = a1 + eps * occ, a2 + occ
     return a1, a2
 
 
@@ -342,6 +351,7 @@ def _bose_ratios(spec: FockEnsembleSpec, lambda1, lambda2) -> np.ndarray:
 
 
 def _product_log_partition(spec: FockEnsembleSpec, lambda1, lambda2):
+    _require_domain(lambda1, lambda2)
     if spec.statistics == "fd":  # log(1 + q_i), never forming a q_i > 1, which can overflow
         t = _level_logits(spec, lambda1, lambda2)
         return np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))), axis=-1)
@@ -360,52 +370,75 @@ def fock_be_tail_bound(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     return float(np.sum(q ** (cap + 1) / (1.0 - q)))
 
 
-def _logit_blocks(spec: FockEnsembleSpec, at: LagrangeCoords):
-    # each block of joint states as (rows, a1, a2): rows[0] holds the logits
-    # -lambda1 a1 - lambda2 a2, rows[1:] are spare, all reused by the next block.
-    # A block adds the table of the trailing levels, the most that fit in one,
-    # to a chunk of the leading levels' table, or of a lone leading level's
-    # occupancy axis (which may be longer than _BLOCK): nothing is state-sized
+def _groups(spec: FockEnsembleSpec, lambda1: np.ndarray, lambda2: np.ndarray):
+    # Yields per group of points (g, m, (t1, t2, xt), sweep), the levels split where the trailing
+    # levels' joint states first fit in a block: t1, t2 are their statistics, xt each point's
+    # logits -lambda1 a1 - lambda2 a2 of them less the largest, m the largest joint logit (exact:
+    # rounding is monotone).  sweep(c, *v) yields per leading chunk (c1, c2, xl, r): statistics,
+    # logits less the largest and row totals r of w = exp(xl + xt) and of w v, and adds w's column
+    # totals to c.  Every joint state has its own exp, every point its own rows and bits
     if spec.statistics == "be":
-        _bose_ratios(spec, at.lambda1, at.lambda2)  # rejects Bose levels with q_i >= 1
+        _bose_ratios(spec, lambda1[:, None], lambda2[:, None])  # rejects Bose levels with q_i >= 1
     count, levels = spec.occupancy_count, spec.energies
     split = next(k for k in range(len(levels) + 1) if count ** (len(levels) - k) <= _BLOCK)
-    t1, t2 = _joint_statistics(levels[split:], count)
-    step = _BLOCK // t1.size
-    if split == 1:
-        ranges = (np.arange(lo, min(lo + step, count), dtype=float) for lo in range(0, count, step))
-        leads = ((levels[0] * x, x) for x in ranges)
-    else:
-        l1, l2 = _joint_statistics(levels[:split], count)
-        leads = ((l1[lo:lo + step], l2[lo:lo + step]) for lo in range(0, l1.size, step))
-    work, size = np.empty((6, min(spec.state_count, _BLOCK))), 0
-    for c1, c2 in leads:
-        if c1.size != size:  # row views cost on every block; only a shorter last one remakes them
-            size = c1.size
-            *rows, b1, b2 = work[:, :size * t1.size]
-            grid1, grid2 = b1.reshape(size, t1.size), b2.reshape(size, t2.size)
-        np.add.outer(c1, t1, out=grid1)
-        np.add.outer(c2, t2, out=grid2)
-        np.multiply(b1, -at.lambda1, out=rows[0])
-        np.subtract(rows[0], np.multiply(b2, at.lambda2, out=rows[1]), out=rows[0])
-        yield rows, b1, b2
+    t1, t2 = _joint_statistics(levels[split:], count, 0, count ** (len(levels) - split))
+    step, size = _BLOCK // t1.size, spec.state_count // t1.size
+    rows = step * max(1, _BLOCK // 8 // step)  # a leading chunk: about an eighth of a block
+    # a group's work array holds at most 8 blocks, its row arrays 1 and its column arrays 4
+    group = 8 * _BLOCK // max(min(spec.state_count, _BLOCK), 2 * t1.size, 8 * min(rows, size))
+    work = np.empty(min(group, lambda1.size) * step * t1.size)
+
+    def leads():
+        return (_joint_statistics(levels[:split], count, lo, min(lo + rows, size))
+                for lo in range(0, size, rows))
+    for lo in range(0, lambda1.size, group):
+        g = slice(lo, lo + group)
+        b1, b2 = -lambda1[g, None], lambda2[g, None]
+        top = np.max([(b1 * c1 - b2 * c2).max(axis=1) for c1, c2 in leads()], axis=0)[:, None]
+        xt = b1 * t1 - b2 * t2
+        xt -= (m := xt.max(axis=1, keepdims=True))
+
+        def sweep(c, *vectors):
+            for c1, c2 in leads():
+                xl, r = b1 * c1 - b2 * c2 - top, np.empty((1 + len(vectors), b1.size, c1.size))
+                for j in range(0, xl.shape[1], step):
+                    n, rj = xl[:, j:j + step, None], r[:, :, j:j + step]
+                    w = work[:n.size * t1.size].reshape(*n.shape[:2], t1.size)
+                    np.exp(np.add(n, xt[:, None], out=w), out=w)
+                    np.einsum("gst->gs", w, out=rj[0])
+                    for k, v in enumerate(vectors, 1):
+                        np.einsum("gst,gt->gs", w, v, out=rj[k])
+                    if c is not None:
+                        np.add(c, w.sum(axis=1), out=c)
+                yield c1, c2, xl, r
+        yield g, (top + m)[:, 0], (t1, t2, xt), sweep
 
 
-def _log_z_and_means(spec: FockEnsembleSpec, at: LagrangeCoords) -> tuple[float, float, float]:
-    # log Z, U and N in one pass: Z, sum w a1 and sum w a2, w = exp(logit - m),
-    # against a running block maximum m, rescaled by exp(m_old - m_new) as m rises
-    m, z, s1, s2 = -math.inf, 0.0, 0.0, 0.0
-    for (w, *_), b1, b2 in _logit_blocks(spec, at):
-        top = float(w.max())
-        if top > m:
-            scale, m = math.exp(m - top), top
-            z, s1, s2 = z * scale, s1 * scale, s2 * scale
-        np.exp(np.subtract(w, m, out=w), out=w)
-        z, s1, s2 = z + float(w.sum()), s1 + float(w @ b1), s2 + float(w @ b2)
-    return m + math.log(z), s1 / z, s2 / z
+def _enumerate(spec: FockEnsembleSpec, at: Points, moments: bool = False) -> tuple:
+    # (one, f), f per point: log Z, the leading and trailing levels' shares of U and of N, the
+    # entropy log z - sum w x / z and, for moments, (g11, g12, g22): each sum w f is R.f_lead +
+    # C.f_trail by the row and column totals of the weights.  The covariance's sweep centres each
+    # level group on its own mean: sum w (d + v)(d' + v') = R.d d' + C.v v' + d.W v' + d'.W v
+    one, l1, l2 = _points(at)
+    out, pairs = np.empty((l1.size, 9 if moments else 6)), ((0, 0), (0, 1), (1, 1))
+    for g, m, (t1, t2, xt), sweep in _groups(spec, l1, l2):
+        c, s = np.zeros(xt.shape), 0.0
+        for c1, c2, xl, (r,) in sweep(c):
+            s = s + np.array([(r * f).sum(axis=1) for f in (1.0, c1, c2, xl)])
+        (z, s1, s2, sx), (u1, u2, ux) = s, ((c * f).sum(axis=1) / s[0] for f in (t1, t2, xt))
+        out[g, :6] = np.array([m + np.log(z), s1 / z, u1, s2 / z, u2, np.log(z) - sx / z - ux]).T
+        if moments:
+            ul1, ut1, ul2, ut2 = out[g, 1:5].T[:, :, None]
+            v, s = (t1 - ut1, t2 - ut2), 0.0
+            for c1, c2, _, (r, *x) in sweep(None, *v):
+                d = (c1 - ul1, c2 - ul2)
+                s = s + np.array([(r * d[a] * d[b] + d[a] * x[b] + d[b] * x[a]).sum(axis=1)
+                                  for a, b in pairs])
+            out[g, 6:] = ((s + np.array([(c * v[a] * v[b]).sum(axis=1) for a, b in pairs])) / z).T
+    return one, out
 
 
-def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
+def fock_log_partition(spec: FockEnsembleSpec, at: Points):
     """log Z by the exact product form, verified against brute enumeration.
 
     Both routes are computed on every call: the per-level product (Fermi
@@ -414,48 +447,41 @@ def fock_log_partition(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
     the product value is returned.  For Bose statistics the truncation tail
     against the untruncated closed form is bounded by :func:`fock_be_tail_bound`.
     """
-    product = float(_product_log_partition(spec, at.lambda1, at.lambda2))
-    enumerated = _log_z_and_means(spec, at)[0]
-    if not math.isfinite(product) or abs(product - enumerated) > 1e-12 * max(1.0, abs(product)):
-        raise ArithmeticError(
-            f"product form ({product!r}) and enumeration ({enumerated!r}) disagree")
-    return product
+    one, l1, l2 = _points(at)
+    product, enumerated = _product_log_partition(spec, l1[:, None], l2[:, None]), np.empty(l1.size)
+    for g, m, _, sweep in _groups(spec, l1, l2):  # log Z alone: no column totals
+        enumerated[g] = m + np.log(sum(r[0].sum(axis=1) for *_, r in sweep(None)))
+    for p, e in zip(product.tolist(), enumerated.tolist()):
+        if not math.isfinite(p) or abs(p - e) > 1e-12 * max(1.0, abs(p)):
+            raise ArithmeticError(f"product form ({p!r}) and enumeration ({e!r}) disagree")
+    return _results(one, product)
 
 
-def fock_moments(spec: FockEnsembleSpec,
-                 at: LagrangeCoords) -> tuple[float, float, MetricTensor2]:
+def fock_moments(spec: FockEnsembleSpec, at: Points):
     """Exact (U, N) and covariance of the sufficient statistics.
 
     The covariance equals the Fisher-Rao metric of the ensemble, i.e.
     the negative Hessian of F = -log Z (identity checked by the tests).
-    Two blocked passes: (log Z, U, N), then the second moments centred on
-    (U, N), which do not cancel as E[a^2] - E[a]^2 would.
+    Two sweeps: (log Z, U, N), then the second moments centred on each level
+    group's mean, which do not cancel as E[a^2] - E[a]^2 would.
     """
-    log_z, u, n = _log_z_and_means(spec, at)
-    g = np.zeros(3)
-    for (rho, da1, da2, sq), b1, b2 in _logit_blocks(spec, at):
-        np.exp(np.subtract(rho, log_z, out=rho), out=rho)
-        np.subtract(b1, u, out=da1)
-        np.subtract(b2, n, out=da2)
-        g += [rho @ np.multiply(x, y, out=sq) for x, y in ((da1, da1), (da1, da2), (da2, da2))]
-    return u, n, MetricTensor2(*g.tolist())
+    one, f = _enumerate(spec, at, moments=True)
+    return (_results(one, f[:, 1] + f[:, 2]), _results(one, f[:, 3] + f[:, 4]),
+            _results(one, *f[:, 6:].T))
 
 
-def fock_means(spec: FockEnsembleSpec, at: LagrangeCoords) -> tuple[float, float]:
-    """Exact (U, N) alone: the first pass of :func:`fock_moments`, same bits."""
-    return _log_z_and_means(spec, at)[1:]
+def fock_means(spec: FockEnsembleSpec, at: Points):
+    """Exact (U, N) alone: the first sweep of :func:`fock_moments`, same bits."""
+    one, f = _enumerate(spec, at)
+    return _results(one, f[:, 1] + f[:, 2]), _results(one, f[:, 3] + f[:, 4])
 
 
-def fock_entropy(spec: FockEnsembleSpec, at: LagrangeCoords) -> float:
+def fock_entropy(spec: FockEnsembleSpec, at: Points):
     """Directly enumerated Gibbs entropy -sum rho log rho (uniform prior), by blocks."""
-    log_z = _log_z_and_means(spec, at)[0]
-    s = 0.0
-    for (log_rho, rho, *_), _, _ in _logit_blocks(spec, at):
-        np.subtract(log_rho, log_z, out=log_rho)
-        s -= float(np.exp(log_rho, out=rho) @ log_rho)
-    return s
+    one, f = _enumerate(spec, at)
+    return _results(one, f[:, 5])
 
 
 def fock_free_energy_field(spec: FockEnsembleSpec) -> FreeEnergyField:
     """F = -log Z of the ensemble as a field (product form), over points x levels at once."""
-    return lambda lambda1, lambda2: -_product_log_partition(spec, lambda1[:, None], lambda2[:, None])
+    return lambda l1, l2: -_product_log_partition(spec, l1[:, None], l2[:, None])

@@ -216,10 +216,16 @@ def _column_value(model: GasModel, xi: float, j: int) -> float:
     return polylog(xi, model.eta + j)
 
 
+@lru_cache(maxsize=256)
+def _gamma(x: float) -> float:
+    # Gamma(eta + k) of the ladders and bundles: one evaluation per argument, not per point
+    return gamma_real(x)
+
+
 def _ladder_factor(model: GasModel, beta: float, k: int) -> float:
     # c_k; outside the float range it is inf, as is every rung that uses it (L > 0)
     try:
-        return model.kappa * gamma_real(model.eta + k) / beta ** (model.eta + k)
+        return model.kappa * _gamma(model.eta + k) / beta ** (model.eta + k)
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
@@ -313,7 +319,7 @@ def metric(model: GasModel, p: ThermoPoint) -> MetricTensor2:
 
 def _gammas(eta: float) -> tuple[float, float, float]:
     # (g1, g2, g3), g_k = Gamma(eta+k), from one Gamma evaluation and the recurrence
-    g1 = gamma_real(eta + 1.0)
+    g1 = _gamma(eta + 1.0)
     g2 = (eta + 1.0) * g1
     return g1, g2, (eta + 2.0) * g2
 
@@ -606,9 +612,10 @@ def dos_catalog(system: str, dims: int = 3) -> DensityOfStatesEntry:
 def _batch_rungs(model: GasModel, lambda1: np.ndarray, lambda2: np.ndarray, *rungs) -> tuple:
     # (a row of T(k, j) per rung, the distinct xi, each point's index into them): each distinct
     # lambda1 and lambda2 is checked and makes its ladder, or xi and column, once, as _rung does
-    (betas, bi), (ys, yi) = (np.unique(x, return_inverse=True) for x in (lambda1, lambda2))
-    betas = [LagrangeCoords(b, 0.0).lambda1 for b in betas.tolist()]
-    xis = [LagrangeCoords(1.0, y).xi for y in ys.tolist()]
+    betas, ys = (sorted(set(x.tolist())) for x in (lambda1, lambda2))  # np.unique: +0.5 MB of RSS
+    betas = [LagrangeCoords(b, 0.0).lambda1 for b in betas]
+    xis = [LagrangeCoords(1.0, y).xi for y in ys]
+    bi, yi = np.searchsorted(betas, lambda1), np.searchsorted(ys, lambda2)
     for xi in xis:
         _require_point(model, ThermoPoint(1.0, xi))
     with np.errstate(over="ignore"):  # a rung past the float range fails the check

@@ -116,31 +116,22 @@ def _fock_fixtures() -> Iterable[FockEnsembleSpec]:
 
 def suite_fock_identities() -> SuiteResult:
     """Covariance = -Hessian F (identity 1) and g dlambda = -dA (identity 2)."""
-    tol_id1 = 1e-8
-    tol_id2 = 1e-6
-    worst_id1 = 0.0
-    worst_id2 = 0.0
+    tol_id1, tol_id2, worst_id1, worst_id2 = 1e-8, 1e-6, 0.0, 0.0
     points = (LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9))
+    steps = [(1e-4 * max(1.0, abs(at.lambda1)), 1e-4 * max(1.0, abs(at.lambda2))) for at in points]
+    stencil = [at.shifted(*d) for at, (h1, h2) in zip(points, steps)
+               for d in ((h1, 0.0), (-h1, 0.0), (0.0, h2), (0.0, -h2))]
     for spec in _fock_fixtures():
         hessians = gibbs_core.hessian_metric(gibbs_core.fock_free_energy_field(spec), points)
-        for at, hess in zip(points, hessians):
-            _, _, cov = gibbs_core.fock_moments(spec, at)
+        _, _, covs = gibbs_core.fock_moments(spec, points)
+        means = np.array(gibbs_core.fock_means(spec, stencil)).T.reshape(len(points), 4, 2)
+        for cov, hess, (h1, h2), a in zip(covs, hessians, steps, means):
             for c, h in zip(cov.entries(), hess.entries()):
                 worst_id1 = max(worst_id1, abs(c - h) / max(abs(c), 1e-30))
             # identity 2 along both axes: column n of g equals -dA/dlambda^n
-            h1 = 1e-4 * max(1.0, abs(at.lambda1))
-            h2 = 1e-4 * max(1.0, abs(at.lambda2))
-
-            def avg(c):
-                return np.array(gibbs_core.fock_means(spec, c))
-
-            dA1 = (avg(at.shifted(h1, 0.0)) - avg(at.shifted(-h1, 0.0))) / (2 * h1)
-            dA2 = (avg(at.shifted(0.0, h2)) - avg(at.shifted(0.0, -h2))) / (2 * h2)
+            dA = np.column_stack(((a[0] - a[1]) / (2 * h1), (a[2] - a[3]) / (2 * h2)))
             g = cov.as_array()
-            worst_id2 = max(
-                worst_id2,
-                float(np.max(np.abs(g[:, 0] + dA1) / np.maximum(np.abs(dA1), 1e-30))),
-                float(np.max(np.abs(g[:, 1] + dA2) / np.maximum(np.abs(dA2), 1e-30))))
+            worst_id2 = max(worst_id2, float(np.max(np.abs(g + dA) / np.maximum(np.abs(dA), 1e-30))))
     passed = bool(worst_id1 <= tol_id1 and worst_id2 <= tol_id2)
     detail = f"identity 1 dev {worst_id1:.2e} (tol 1e-8), identity 2 dev {worst_id2:.2e} (tol 1e-6)"
     return SuiteResult("fock enumeration identities", tol_id1, float(worst_id1), passed, detail)

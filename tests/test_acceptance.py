@@ -165,16 +165,18 @@ def _g12_times(factor):
 
 
 def _covariance_g12_times(factor):
+    # fock_moments over a sequence of points, each covariance's g12 scaled
     def wrap(f):
-        def faulty(spec, at):
-            u, n, cov = f(spec, at)
-            return u, n, replace(cov, g12=cov.g12 * factor)
+        def faulty(spec, points):
+            u, n, covs = f(spec, points)
+            return u, n, [replace(cov, g12=cov.g12 * factor) for cov in covs]
         return faulty
     return wrap
 
 
 def _means_times(factor):
-    return lambda f: lambda spec, at: tuple(v * factor for v in f(spec, at))
+    # fock_means over a sequence of points, every U and N scaled
+    return lambda f: lambda spec, points: tuple(np.asarray(v) * factor for v in f(spec, points))
 
 
 def _curvature(new_r, stat=None):
@@ -281,13 +283,15 @@ def _batch_sizes(monkeypatch, name):
 
 def test_verify_computes_each_pass_and_stencil_point_once(monkeypatch):
     # identity 1 and the centre covariance take one fock_moments call per
-    # fixture and point; identity 2's four stencil points read the means
-    # alone; each curvature route and each Hessian oracle calls its field
-    # once, on every stencil point of the model's grid, and the closed-form
-    # R makes one determinant bundle per xi column
+    # fixture over its two points; identity 2 reads the means alone, in one
+    # fock_means call per fixture over the four stencil points of each; each
+    # curvature route and each Hessian oracle calls its field once, on every
+    # stencil point of the model's grid, and the closed-form R makes one
+    # determinant bundle per xi column
     moments, means = (_counted(monkeypatch, gc, n) for n in ("fock_moments", "fock_means"))
     assert_passes(verification.suite_fock_identities())
-    assert (len(moments), len(means)) == (5 * 2, 5 * 2 * 4)
+    assert [len(points) for _, points in moments] == [2] * 5
+    assert [len(points) for _, points in means] == [2 * 4] * 5
     metric, bundles = _batch_sizes(monkeypatch, "metric_field"), _counted(monkeypatch, qg, "det_bundle")
     assert_passes(verification.suite_curvature_routes())
     assert metric == [25 * 9] * (3 * 2 * 2)  # grid points x stencil; statistics x eta x route

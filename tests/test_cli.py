@@ -391,6 +391,7 @@ def test_limits_table_evaluates_gamma_once(capsys, monkeypatch):
     gamma_real = qg.gamma_real
     monkeypatch.setattr(qg, "gamma_real", lambda x: calls.append(x) or gamma_real(x))
     qg.limit_coefficients.cache_clear()
+    qg._gamma.cache_clear()
     code, out, _ = run(capsys, "limits", "--eta", "0.5", "--beta", "0", "0.5", "1", "2")
     assert code == 0 and len(out.splitlines()) == 11
     assert out.endswith("\n2,-0.70523697943469543,0.19897711842810609\n")

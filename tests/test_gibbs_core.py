@@ -391,6 +391,17 @@ def test_a_batch_with_one_point_outside_the_domain_raises(name):
         entry([*_BATCH, qg.ThermoPoint(1.0, 1.5).to_coords()])  # Bose xi > 1
 
 
+@pytest.mark.parametrize("lambda1, lambda2", [(-1.0, 0.3), (0.0, 0.3), (math.nan, 0.3),
+                                               (1.0, math.nan), (1.0, math.inf)])
+def test_a_fock_field_called_outside_the_domain_raises(lambda1, lambda2):
+    # as free_energy_field does: the finite Fermi ensemble has a value at any
+    # lambda1, but the field's domain is the finite coordinates with lambda1 > 0
+    field = gc.fock_free_energy_field(FockEnsembleSpec((1.0, 2.0), "fd"))
+    field(np.array([1.0]), np.array([0.3]))
+    with pytest.raises(DomainError):
+        field(np.array([1.0, lambda1]), np.array([0.3, lambda2]))
+
+
 def test_a_fock_batch_with_one_point_outside_the_domain_raises():
     field = gc.fock_free_energy_field(FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60))
     with pytest.raises(DomainError):  # xi exp(-beta eps_1) > 1 at the last point
@@ -582,8 +593,9 @@ def test_positive_definiteness_on_physical_points():
 # blocked enumeration against the full-array reference
 # ---------------------------------------------------------------------------
 #
-# The oracles sum the joint states in blocks of gc._BLOCK against a running
-# maximum.  The reference below is the full-array form: one logits array the
+# The oracles sum the joint states in blocks of gc._BLOCK, shifted by the
+# largest logit, and take the sums over a block from its row and column
+# totals.  The reference below is the full-array form: one logits array the
 # size of the state space, one logsumexp and one dot product per moment.
 # Only the order of summation differs, so the two agree to a few ulps;
 # 1e-14 leaves room for the 226,981-state sums.
@@ -657,7 +669,8 @@ def test_blocked_enumeration_matches_the_full_array_reference(spec):
         ru, rn, rcov = _reference_moments(spec, at)
         for got, want in zip((u, n, *cov.entries()), (ru, rn, *rcov.entries())):
             assert _close(got, want), (at, got, want)
-        assert _close(gc._log_z_and_means(spec, at)[0], _reference_log_partition(spec, at))
+        enumerated = gc._enumerate(spec, at)[1]
+        assert _close(enumerated[0, 0], _reference_log_partition(spec, at))
         assert gc.fock_log_partition(spec, at) == gc._product_log_partition(spec, at.lambda1,
                                                                             at.lambda2)
         assert _close(gc.fock_entropy(spec, at), _reference_entropy(spec, at))
@@ -671,6 +684,53 @@ def test_fock_means_are_the_bits_of_fock_moments(spec):
     for at in points:
         got = [v.hex() for v in gc.fock_means(spec, at)]
         assert got == [v.hex() for v in gc.fock_moments(spec, at)[:2]], at
+
+
+def _hexes_of(result, i=None):
+    # float.hex of each value an oracle returned: for one point, or for point i of a batch
+    if isinstance(result, tuple):
+        return tuple(_hexes_of(r, i) for r in result)
+    return hexes(result if i is None else result[i])
+
+
+_BATCH_POINTS = [LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9), LagrangeCoords(1.3, 0.5),
+                 LagrangeCoords(0.9, 1.7), LagrangeCoords(2.0, 0.1), LagrangeCoords(0.8, 0.4),
+                 LagrangeCoords(1.1, 2.5), LagrangeCoords(0.6, 1.2)]
+# one level of 2,000,001 occupancies; ratios q just under 1, so no weight underflows
+_LONE_POINTS = [LagrangeCoords(b, -0.5 * b + d) for b, d in itertools.product(
+    (0.5, 1.0, 2.0, 4.0), (1e-5, 1e-4))]
+
+
+@pytest.mark.parametrize("oracle", [gc.fock_log_partition, gc.fock_moments, gc.fock_means,
+                                    gc.fock_entropy], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec, points", [
+    (FockEnsembleSpec((0.5, 1.0, 1.5, 2.2, 3.1, 4.0), "fd"),
+     [*_BATCH_POINTS[:3], LagrangeCoords(1.0, -800.0), *_BATCH_POINTS[4:]]),
+    (FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=200), _BATCH_POINTS),
+    (FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60), _BATCH_POINTS),
+    (FockEnsembleSpec((0.5,), "be", be_occupancy_cap=2_000_000), _LONE_POINTS),
+], ids=lambda v: f"{v.statistics}-{v.state_count}" if isinstance(v, FockEnsembleSpec) else "")
+def test_a_fock_oracle_batch_has_the_bits_of_its_points(oracle, spec, points):
+    # one sweep serves a batch, each point reduced by its own rows: a point's
+    # values do not depend on the points that share its call
+    want = [_hexes_of(oracle(spec, at)) for at in points]
+    for size in (1, 2, 8):
+        for lo in range(0, len(points), size):
+            got = oracle(spec, points[lo:lo + size])
+            assert [_hexes_of(got, i) for i in range(size)] == want[lo:lo + size], (size, lo)
+
+
+def test_a_fock_oracle_gives_floats_for_a_point_and_arrays_for_a_sequence():
+    spec = FockEnsembleSpec((1.0, 2.0, 3.0), "fd")
+    at = LagrangeCoords(1.0, 0.3)
+    u, n, cov = gc.fock_moments(spec, at)
+    assert {type(v) for v in (u, n, *vars(cov).values(), *gc.fock_means(spec, at),
+                              gc.fock_log_partition(spec, at), gc.fock_entropy(spec, at))} == {float}
+    u, n, covs = gc.fock_moments(spec, [at, at])
+    assert isinstance(u, np.ndarray) and isinstance(n, np.ndarray) and len(covs) == 2
+    assert all(isinstance(v, np.ndarray) and v.shape == (2,) for v in (
+        *gc.fock_means(spec, [at, at]), gc.fock_log_partition(spec, [at, at]),
+        gc.fock_entropy(spec, [at, at])))
 
 
 def _hex_moments(spec, at):
@@ -713,15 +773,18 @@ def test_concurrent_callers_get_the_bits_of_serial_calls():
     FockEnsembleSpec((0.5,), "be", be_occupancy_cap=2_000_000),     # one level, 2,000,001
 ], ids=lambda s: f"{len(s.energies)}x{s.occupancy_count}")
 def test_fock_oracles_allocate_no_state_sized_temporary(spec):
-    # each call builds its own level tables and block rows, at most about
-    # 1.2 MB at any state count; the statistics of all joint states would
-    # take 16 bytes per state (130 MB at 8.1M)
-    at = LagrangeCoords(1.0, 0.3)
-    for oracle in (gc.fock_moments, gc.fock_means, gc.fock_log_partition, gc.fock_entropy):
-        tracemalloc.start()
-        try:
-            oracle(spec, at)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000, (oracle.__name__, peak)
+    # each call builds its own level tables and a work array of a block per
+    # point of a group of at most 8, at most about 2.3 MB at any state count
+    # or batch size; the statistics of all joint states would take 16 bytes
+    # per state (130 MB at 8.1M).  The batch's ratios q lie just under 1, so
+    # no weight underflows and exp keeps its fast path on 65M joint states
+    batch = [LagrangeCoords(b, -0.5 * b + 1e-4) for b in np.linspace(0.1, 0.8, 8).tolist()]
+    for at in (LagrangeCoords(1.0, 0.3), batch):
+        for oracle in (gc.fock_moments, gc.fock_means, gc.fock_log_partition, gc.fock_entropy):
+            tracemalloc.start()
+            try:
+                oracle(spec, at)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, (oracle.__name__, peak)
