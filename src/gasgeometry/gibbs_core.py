@@ -463,11 +463,15 @@ def fock_moments(spec: FockEnsembleSpec, at: Points):
     The covariance equals the Fisher-Rao metric of the ensemble, i.e.
     the negative Hessian of F = -log Z (identity checked by the tests).
     Two sweeps: (log Z, U, N), then the second moments centred on each level
-    group's mean, which do not cancel as E[a^2] - E[a]^2 would.
+    group's mean, which do not cancel as E[a^2] - E[a]^2 would.  A moment
+    past the float range raises DomainError.
     """
-    one, f = _enumerate(spec, at, moments=True)
-    return (_results(one, f[:, 1] + f[:, 2]), _results(one, f[:, 3] + f[:, 4]),
-            _results(one, *f[:, 6:].T))
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the float range is rejected
+        one, f = _enumerate(spec, at, moments=True)
+        u, n = f[:, 1] + f[:, 2], f[:, 3] + f[:, 4]
+    if not np.isfinite([u, n, *f[:, 6:].T]).all():
+        raise DomainError("a moment of the ensemble leaves the float range")
+    return _results(one, u), _results(one, n), _results(one, *f[:, 6:].T)
 
 
 def fock_means(spec: FockEnsembleSpec, at: Points):

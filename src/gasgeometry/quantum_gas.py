@@ -241,7 +241,7 @@ def _rung(model: GasModel, p: ThermoPoint, column: list, ladder: list, k: int, j
     if c is None:
         c = ladder[k] = _ladder_factor(model, p.beta, k)
     out = c * l
-    if out == 0.0 or math.isinf(out):
+    if not 0.0 < abs(out) < math.inf:  # also inf * 0.0 = nan
         raise DomainError(f"a ladder term leaves the float range at beta = {p.beta!r} and xi = {p.xi!r}")
     return out
 
@@ -618,10 +618,10 @@ def _batch_rungs(model: GasModel, lambda1: np.ndarray, lambda2: np.ndarray, *run
     bi, yi = np.searchsorted(betas, lambda1), np.searchsorted(ys, lambda2)
     for xi in xis:
         _require_point(model, ThermoPoint(1.0, xi))
-    with np.errstate(over="ignore"):  # a rung past the float range fails the check
+    with np.errstate(over="ignore", invalid="ignore"):  # a rung past the float range fails the check
         t = (np.array([[_ladder_factor(model, b, k) for b in betas] for k, _ in rungs])[:, bi]
              * np.array([[_column_value(model, xi, j) for xi in xis] for _, j in rungs])[:, yi])
-    bad = np.flatnonzero(((t == 0.0) | np.isinf(t)).any(axis=0))
+    bad = np.flatnonzero(~((0.0 < abs(t)) & (abs(t) < np.inf)).any(axis=0))
     if bad.size:
         raise DomainError(f"a ladder term leaves the float range at beta = "
                           f"{float(lambda1[bad[0]])!r} and xi = {xis[yi[bad[0]]]!r}")

@@ -117,7 +117,9 @@ def _zeta_em(s: float, sm1: float) -> float:
     return 1.0 + sum([n ** -s for n in _EM_POWERS]) + tail
 
 
-@lru_cache(maxsize=4096)
+# Holds the arguments phi - j that a Bose-edge point's four orders share
+# (about 10) and the 29 of verify; points at distinct orders share none.
+@lru_cache(maxsize=512)
 def zeta_real(s: float) -> float:
     """Riemann zeta at real finite s != 1, accurate to ~1e-14 relative.
 
@@ -302,7 +304,12 @@ def _polylog_edge(y: float, phi: float) -> float:
     return total
 
 
-@lru_cache(maxsize=1 << 16)
+# The reuse is a point's own column (det_bundle and averages fetch L0..L2
+# again within four keys), the be0 blocks of figures 5-6 reading the be
+# blocks' columns up to 792 keys back, at most 1,000 keys in one figure and
+# 1,083 in all of verify; 2,048 holds each.  A sweep whose blocks share
+# columns further apart recomputes them, with the same bits.
+@lru_cache(maxsize=2048)
 def polylog(y: float, phi: float) -> float:
     """Polylogarithm Li(y, phi) for real y < 1 and real order phi >= -1.
 

@@ -496,6 +496,23 @@ def test_fermi_product_past_the_double_range_stays_finite():
     assert np.all(np.isfinite(g.entries()))
 
 
+def test_a_covariance_past_the_double_range_raises():
+    # each level holds 1/(1 + e) particles of energy 1e300, so the energy's
+    # variance passes the double range; U, N, log Z and S stay finite there
+    spec, at = FockEnsembleSpec((1e300, 1e300), "fd"), LagrangeCoords(1e-300, 0.0)
+    p = 1.0 / (1.0 + math.e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for points in (at, [LagrangeCoords(1.0, 0.3), at]):
+            with pytest.raises(DomainError):
+                gc.fock_moments(spec, points)
+        u, n = gc.fock_means(spec, at)
+        log_z, s = gc.fock_log_partition(spec, at), gc.fock_entropy(spec, at)
+    assert u == pytest.approx(2e300 * p, rel=1e-14) and n == pytest.approx(2.0 * p, rel=1e-14)
+    assert log_z == pytest.approx(2.0 * math.log1p(math.exp(-1.0)), rel=1e-14)
+    assert s == pytest.approx(log_z + n, rel=1e-14)  # log Z + lambda1 U + lambda2 N
+
+
 def test_be_truncated_vs_closed_form():
     spec = FockEnsembleSpec((1.0,), "be", be_occupancy_cap=200)
     at = LagrangeCoords(1.0, -math.log(0.5))  # xi = 0.5
@@ -696,7 +713,8 @@ def _hexes_of(result, i=None):
 _BATCH_POINTS = [LagrangeCoords(1.0, 0.3), LagrangeCoords(0.7, 0.9), LagrangeCoords(1.3, 0.5),
                  LagrangeCoords(0.9, 1.7), LagrangeCoords(2.0, 0.1), LagrangeCoords(0.8, 0.4),
                  LagrangeCoords(1.1, 2.5), LagrangeCoords(0.6, 1.2)]
-# one level of 2,000,001 occupancies; ratios q just under 1, so no weight underflows
+# one level of 20,001 occupancies, more than a block, so its leading table is walked in
+# ranges (3 chunks); ratios q just under 1, so no weight underflows
 _LONE_POINTS = [LagrangeCoords(b, -0.5 * b + d) for b, d in itertools.product(
     (0.5, 1.0, 2.0, 4.0), (1e-5, 1e-4))]
 
@@ -708,7 +726,7 @@ _LONE_POINTS = [LagrangeCoords(b, -0.5 * b + d) for b, d in itertools.product(
      [*_BATCH_POINTS[:3], LagrangeCoords(1.0, -800.0), *_BATCH_POINTS[4:]]),
     (FockEnsembleSpec((1.0, 2.0), "be", be_occupancy_cap=200), _BATCH_POINTS),
     (FockEnsembleSpec((0.8, 1.3, 2.1), "be", be_occupancy_cap=60), _BATCH_POINTS),
-    (FockEnsembleSpec((0.5,), "be", be_occupancy_cap=2_000_000), _LONE_POINTS),
+    (FockEnsembleSpec((0.5,), "be", be_occupancy_cap=20_000), _LONE_POINTS),
 ], ids=lambda v: f"{v.statistics}-{v.state_count}" if isinstance(v, FockEnsembleSpec) else "")
 def test_a_fock_oracle_batch_has_the_bits_of_its_points(oracle, spec, points):
     # one sweep serves a batch, each point reduced by its own rows: a point's

@@ -605,6 +605,20 @@ def test_grid_builds_no_bundle_for_a_column_of_failing_points():
     assert [type(item) for item in items] == [DomainError] * 4
 
 
+def test_a_rung_of_infinity_times_zero_raises_domain_error():
+    # c_k overflows to inf and, at this order, the polylog gives 0.0, so a
+    # rung is inf * 0.0 = nan; every entry point and field rejects it
+    model = qg.GasModel("fd", eta=2.3314581080131584e+120, kappa=5.663218991895061e+285)
+    p = qg.ThermoPoint(8.90447606042488e-273, 1.2052452518041063e+215)
+    for f in (qg.free_energy, qg.averages, qg.metric, qg.geometry_sample):
+        with pytest.raises(DomainError, match="float range"):
+            f(model, p)
+    at = (np.array([p.beta]), np.array([-math.log(p.xi)]))
+    for field in (qg.free_energy_field(model), qg.metric_field(model)):
+        with pytest.raises(DomainError, match="float range"):
+            field(*at)
+
+
 def test_grid_is_lazy_and_rejects_a_bad_beta_when_it_reaches_it():
     grid = qg.geometry_grid(qg.GasModel("fd"), [1.0, -1.0], [0.5])
     assert isinstance(next(grid), qg.GeometrySample)

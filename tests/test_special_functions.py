@@ -7,6 +7,8 @@ independent of the integration-by-parts double-exponential rule inside
 the package.
 """
 import math
+import random
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasgeometry import GasModel, ThermoPoint, geometry_sample
+from gasgeometry import GasModel, ThermoPoint, averages, cli, geometry_sample, verification
 from gasgeometry import special_functions as sf
 from gasgeometry.errors import DomainError, PolylogOverflowError
 
@@ -463,6 +465,47 @@ def test_polylog_thread_safety():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda a: sf.polylog(*a), args))
     assert parallel == serial
+
+
+def _clear_memos():
+    sf.polylog.cache_clear()
+    sf.zeta_real.cache_clear()
+
+
+@pytest.mark.parametrize("run", [*(f"figure {n}" for n in sorted(cli.FIGURE_PRESETS)), "verify"])
+def test_the_memos_hold_every_key_a_workload_reuses(run, tmp_path, capsys):
+    # as many misses as keys kept, and room to spare: no key was evicted and
+    # then computed again, so the bounds cost no cache hit
+    _clear_memos()
+    if run == "verify":
+        verification.run_suites()
+    else:
+        assert cli.main([*run.split(), "--out", str(tmp_path / "figure.csv")]) == 0
+    for memo in (sf.polylog, sf.zeta_real):
+        info = memo.cache_info()
+        assert info.misses == info.currsize < info.maxsize, (memo.__name__, info)
+
+
+def test_distinct_points_leave_a_bounded_memo():
+    # single points share no polylog key, so what the memos keep after 5,000
+    # of them is their bound, not a growing record of every point
+    rng, points = random.Random(0), []
+    for i in range(5000):
+        stat = ("fd", "be", "be0")[i % 3]
+        xi = 10.0 ** rng.uniform(-2.0, 2.0) if stat == "fd" else rng.uniform(0.01, 0.99)
+        points.append((GasModel(stat, eta=rng.uniform(0.1, 3.0)),
+                       ThermoPoint(10.0 ** rng.uniform(-2.0, 2.0), xi)))
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for model, p in points:
+            geometry_sample(model, p)
+            averages(model, p)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, retained
 
 
 def test_quadrature_nodes_are_read_only():
