@@ -621,7 +621,7 @@ def _batch_rungs(model: GasModel, lambda1: np.ndarray, lambda2: np.ndarray, *run
     with np.errstate(over="ignore", invalid="ignore"):  # a rung past the float range fails the check
         t = (np.array([[_ladder_factor(model, b, k) for b in betas] for k, _ in rungs])[:, bi]
              * np.array([[_column_value(model, xi, j) for xi in xis] for _, j in rungs])[:, yi])
-    bad = np.flatnonzero(~((0.0 < abs(t)) & (abs(t) < np.inf)).any(axis=0))
+    bad = np.flatnonzero(((t == 0.0) | ~np.isfinite(t)).any(axis=0))  # also inf * 0.0 = nan
     if bad.size:
         raise DomainError(f"a ladder term leaves the float range at beta = "
                           f"{float(lambda1[bad[0]])!r} and xi = {xis[yi[bad[0]]]!r}")

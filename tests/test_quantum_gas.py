@@ -619,6 +619,18 @@ def test_a_rung_of_infinity_times_zero_raises_domain_error():
             field(*at)
 
 
+def test_a_field_rejects_a_point_where_one_rung_of_several_leaves_the_range():
+    # c_3 overflows while c_1 and c_2 stay finite: metric raises, so the
+    # metric field raises there too, and the one-rung free energy field does not
+    model, p = qg.GasModel("fd", eta=0.5), qg.ThermoPoint(1e-100, 0.5)
+    with pytest.raises(DomainError, match="float range"):
+        qg.metric(model, p)
+    at = (np.array([1.0, p.beta]), np.array([0.5, -math.log(p.xi)]))
+    with pytest.raises(DomainError, match="float range"):
+        qg.metric_field(model)(*at)
+    assert qg.free_energy_field(model)(*at)[1] == qg.free_energy(model, p)
+
+
 def test_grid_is_lazy_and_rejects_a_bad_beta_when_it_reaches_it():
     grid = qg.geometry_grid(qg.GasModel("fd"), [1.0, -1.0], [0.5])
     assert isinstance(next(grid), qg.GeometrySample)
