@@ -2,9 +2,10 @@
 figure-reproduction datasets and the verification suites.
 
 Numbers are printed with 17 significant digits, so every reported value
-round-trips to the exact double produced by the library call.  Sweeps are
-evaluated sequentially in row-major grid order (beta outer, xi inner) and
-are byte-identical across runs.
+round-trips to the exact double produced by the library call.  Sweeps run
+in row-major grid order (beta outer, xi inner), byte-identical across runs
+on one machine; a block's rows copy a template holding its eta, kappa and
+stat text, and format each xi once per column and each beta once per row.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage or
 domain errors.
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -42,6 +44,12 @@ CSV_COLUMNS = ("beta", "xi", "eta", "kappa", "stat",
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+# where a cell's GeometrySample or (U, N) holds each value column
+_CELLS = {**{c: attrgetter(f"metric.{c}") for c in ("g11", "g12", "g22")},
+          **{c: attrgetter(c) for c in ("det_g", "g_bar", "R", "R_bar")},
+          "U": itemgetter(0), "N": itemgetter(1)}
 
 
 @dataclass(frozen=True)
@@ -112,41 +120,35 @@ class SweepSpec:
                 raise DomainError("Bose statistics need a xi grid inside (0, 1)")
 
 
-def _cells(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[tuple]:
-    # (point, sample, means, error), beta outer and xi inner, from one pass of the
-    # grid, which evaluates only what outputs ask for: geometry, averages or both
-    return quantum_gas._grid(model, betas, xis, geometry=bool(outputs - {"averages"}),
-                             averages="averages" in outputs)
+def _text_rows(model: GasModel, xis, cells, outputs: frozenset[str]) -> Iterator[dict[str, str]]:
+    # (point, sample, means, error) cells, beta outer and xi inner, as rows from text
+    # formatted once: eta, kappa and stat into a template, each xi once per column and
+    # each beta once per grid row; a row formats only its own requested values, and
+    # keeps those computed before a failure
+    template = dict.fromkeys(CSV_COLUMNS, "")
+    template.update(eta=_fmt(model.eta), kappa=_fmt(model.kappa), stat=model.statistics)
+    wanted = {column for name in outputs for column in OUTPUT_COLUMNS[name]}
+    columns = [(c, c in ("U", "N"), _CELLS[c]) for c in CSV_COLUMNS if c in wanted]
+    texts = [_fmt(xi) for xi in xis]
+    for i, (p, sample, means, error) in enumerate(cells):
+        if (j := i % len(texts)) == 0:
+            beta = _fmt(p.beta)
+        row = template.copy()
+        row["beta"], row["xi"] = beta, texts[j]
+        for column, average, get in columns:
+            if (cell := means if average else sample) is not None:
+                row[column] = _fmt(get(cell))
+        if error is not None:
+            row["error"] = str(error).replace(",", ";")
+        yield row
 
 
 def _rows(model: GasModel, betas, xis, outputs: frozenset[str]) -> Iterator[dict[str, str]]:
-    return (_record(model, point, outputs, *item)
-            for point, *item in _cells(model, betas, xis, outputs))
-
-
-def _record(model: GasModel, p: ThermoPoint, outputs: frozenset[str],
-            sample, means, error) -> dict[str, str]:
-    row = dict.fromkeys(CSV_COLUMNS, "")
-    row["beta"] = _fmt(p.beta)
-    row["xi"] = _fmt(p.xi)
-    row["eta"] = _fmt(model.eta)
-    row["kappa"] = _fmt(model.kappa)
-    row["stat"] = model.statistics
-    cells = {}
-    if sample is not None:
-        g = sample.metric
-        cells = {"g11": g.g11, "g12": g.g12, "g22": g.g22, "det_g": sample.det_g,
-                 "g_bar": sample.g_bar, "R": sample.R, "R_bar": sample.R_bar}
-    if means is not None:
-        cells["U"], cells["N"] = means
-    if error is not None:
-        row["error"] = str(error).replace(",", ";")
-    # cells computed before a failure are still reported
-    for name in outputs:
-        for column in OUTPUT_COLUMNS[name]:
-            if column in cells:
-                row[column] = _fmt(cells[column])
-    return row
+    # one pass of the grid, beta outer and xi inner, evaluates only what outputs ask for
+    xis = [float(xi) for xi in xis]
+    cells = quantum_gas._grid(model, betas, xis, geometry=bool(outputs - {"averages"}),
+                              averages="averages" in outputs)
+    return _text_rows(model, xis, cells, outputs)
 
 
 def sweep_rows(spec: SweepSpec) -> Iterator[dict[str, str]]:
@@ -202,11 +204,11 @@ FIGURE_PRESETS: dict[int, list[SweepSpec]] = {
 def cmd_eval(args) -> int:
     model = GasModel(args.stat, eta=args.eta, kappa=args.kappa)
     outputs = frozenset(args.outputs or OUTPUT_CHOICES)
-    # the one-cell grid, whose own error is raised, not the sweep's error cell
-    point, sample, means, error = next(_cells(model, (args.beta,), (args.xi,), outputs))
-    if error is not None:
-        raise error
-    row = _record(model, point, outputs, sample, means, None)
+    # the point's own error is raised, not the sweep's error cell; same bits as the one-cell grid
+    p = ThermoPoint(args.beta, args.xi)
+    sample = quantum_gas.geometry_sample(model, p) if outputs - {"averages"} else None
+    means = quantum_gas.averages(model, p) if "averages" in outputs else None
+    row = next(_text_rows(model, (p.xi,), [(p, sample, means, None)], outputs))
     print("\n".join(f"{key}={value}" for key, value in row.items() if value))
     return 0
 

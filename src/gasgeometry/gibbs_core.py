@@ -382,7 +382,8 @@ def _groups(spec: FockEnsembleSpec, lambda1: np.ndarray, lambda2: np.ndarray):
     count, levels = spec.occupancy_count, spec.energies
     split = next(k for k in range(len(levels) + 1) if count ** (len(levels) - k) <= _BLOCK)
     t1, t2 = _joint_statistics(levels[split:], count, 0, count ** (len(levels) - split))
-    step, size = _BLOCK // t1.size, spec.state_count // t1.size
+    # a block of joint states holds step leading states, no more than the ensemble has
+    step, size = min(_BLOCK, spec.state_count) // t1.size, spec.state_count // t1.size
     rows = step * max(1, _BLOCK // 8 // step)  # a leading chunk: about an eighth of a block
     # a group's work array holds at most 8 blocks, its row arrays 1 and its column arrays 4
     group = 8 * _BLOCK // max(min(spec.state_count, _BLOCK), 2 * t1.size, 8 * min(rows, size))

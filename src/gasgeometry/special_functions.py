@@ -188,7 +188,10 @@ def polylog_series(y: float, phi: float) -> float:
         raise DomainError("series representation needs |y| < 1")
     total = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = y**k / k**phi
+        try:
+            term = y**k / k**phi
+        except OverflowError:  # k^phi past the double range: this term and the rest are 0
+            return total
         total += term
         if abs(term) <= _SERIES_TOL * abs(total):
             return total
@@ -203,10 +206,14 @@ def _de_rule(y: float, phi: float, lower: bool) -> float:
         return 0.0
     if phi <= -1.0:
         raise DomainError("quadrature representation needs phi > -1")
+    p1 = phi + 1.0
+    try:  # ln Gamma(p1): math.lgamma alone is off by up to 1.8e-15 absolute on [1, 6]
+        log_gamma = math.log(math.gamma(p1)) if p1 < 171.0 else math.lgamma(p1)
+    except OverflowError:
+        raise DomainError(f"polylog order {phi!r} puts ln Gamma past the double range") from None
     c = -math.log(abs(y))
     scale = max(1.0, -c) if y < 0.0 else 1.0
     r = min(1.0, _DE_EDGE / scale)
-    p1 = phi + 1.0
     head = math.log(min(1.0, c)) if y > 0.0 else 0.0
     start = bisect_left(_DE_S_FLOATS, (head - 45.0 / p1) / r)
     # At a few hundred nodes numpy's per-call overhead outweighs the
@@ -242,8 +249,7 @@ def _de_rule(y: float, phi: float, lower: bool) -> float:
     np.subtract(a, k, out=k)
     x += k
     x += _DE_LOG_W[start:]
-    # ln Gamma(p1): math.lgamma alone is off by up to 1.8e-15 absolute on [1, 6]
-    x -= math.log(math.gamma(p1)) if p1 < 171.0 else math.lgamma(p1)
+    x -= log_gamma
     terms = np.exp(x, out=x)
     if lower:  # times -d ln K/dv: coth(v/2) for Bose, tanh(v/2) for Fermi
         nv *= -0.5

@@ -135,6 +135,41 @@ def test_point_record_error_column():
     assert row["beta"] == "1"
 
 
+@pytest.mark.parametrize("stat", ["fd", "be", "be0", "classical"])
+def test_eval_prints_the_filled_cells_of_the_one_cell_sweep_row(stat, capsys):
+    code, out, _ = run(capsys, "eval", "--stat", stat, "--eta", "2", "--kappa", "0.7",
+                       "--beta", "1.3", "--xi", "0.45")
+    assert code == 0
+    row = point_record(qg.GasModel(stat, eta=2.0, kappa=0.7), qg.ThermoPoint(1.3, 0.45),
+                       frozenset(cli.OUTPUT_CHOICES))
+    assert out.splitlines() == [f"{key}={value}" for key, value in row.items() if value]
+    assert len(out.splitlines()) == len(CSV_COLUMNS) - 1  # every cell but error
+
+
+def test_a_block_keeps_each_rows_own_text_and_cells():
+    # the block formats each beta once per grid row and each xi once per column:
+    # with a repeated beta, and an error point between two evaluated points of
+    # each grid row, every row is still its own point's one-cell row
+    model, outputs = qg.GasModel("be", eta=0.5, kappa=2.0), frozenset(cli.OUTPUT_CHOICES)
+    betas, xis = (1.0, 1.0, 2.5), (0.3, 1.2, 0.6)
+    rows = list(cli._rows(model, betas, xis, outputs))
+    xi_texts = ("0.29999999999999999", "1.2", "0.59999999999999998")
+    assert [(row["beta"], row["xi"]) for row in rows] == [
+        (b, x) for b in ("1", "1", "2.5") for x in xi_texts]
+    assert {row["eta"] + "," + row["kappa"] + "," + row["stat"] for row in rows} == {"0.5,2,be"}
+    for row, p in zip(rows, [qg.ThermoPoint(b, x) for b in betas for x in xis]):
+        assert row == point_record(model, p, outputs)
+        if p.xi > 1.0:
+            assert row["error"].startswith("Bose-Einstein statistics require xi < 1")
+            assert not any(row[c] for c in CSV_COLUMNS[5:-1])
+            continue
+        sample, (u, n) = qg.geometry_sample(model, p), qg.averages(model, p)
+        assert row["error"] == ""
+        assert [float(row[c]) for c in CSV_COLUMNS[5:-1]] == [
+            sample.metric.g11, sample.metric.g12, sample.metric.g22, sample.det_g,
+            sample.g_bar, sample.R, sample.R_bar, u, n]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

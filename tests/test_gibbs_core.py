@@ -806,3 +806,22 @@ def test_fock_oracles_allocate_no_state_sized_temporary(spec):
             finally:
                 tracemalloc.stop()
             assert peak < 4_000_000, (oracle.__name__, peak)
+
+
+@pytest.mark.parametrize("spec", [
+    FockEnsembleSpec((1.0,), "fd"),                                  # 2 states
+    FockEnsembleSpec((0.5, 1.0, 1.5, 2.2, 3.1, 4.0), "fd"),          # 64 states
+], ids=lambda s: f"{len(s.energies)}x{s.occupancy_count}")
+def test_a_small_ensemble_holds_memory_in_proportion_to_its_points(spec):
+    # a block of an ensemble under 8,192 states holds only the states it has,
+    # so 1,000 points stay under the bound of one call at any size; a block
+    # sized for 8,192 states took 66 MB (2 states) and 35 MB (64 states)
+    batch = [LagrangeCoords(b, 0.3) for b in np.linspace(0.5, 1.5, 1000).tolist()]
+    for oracle in (gc.fock_moments, gc.fock_means, gc.fock_log_partition, gc.fock_entropy):
+        tracemalloc.start()
+        try:
+            oracle(spec, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, (oracle.__name__, peak)

@@ -619,6 +619,21 @@ def test_a_rung_of_infinity_times_zero_raises_domain_error():
             field(*at)
 
 
+def test_huge_orders_give_a_finite_value_or_a_package_error():
+    # k^phi past the double range in the series and ln Gamma past it in the
+    # double-exponential rule escaped as a bare OverflowError.  A series term
+    # whose k^phi overflows is 0; an order whose ln Gamma overflows is rejected
+    assert polylog(0.3, 2000.0) == 0.3 and polylog(-0.4, 5000.0) == -0.4
+    with pytest.raises(DomainError, match="ln Gamma"):
+        polylog(0.7, 1e306)
+    # through the models, Gamma(eta + k) then leaves the float range
+    for stat in ("fd", "be", "be0"):
+        for eta, p in ((2000.0, qg.ThermoPoint(1.0, 0.3)), (1e300, qg.ThermoPoint(0.5, 0.3))):
+            for f in (qg.geometry_sample, qg.metric, qg.averages, qg.free_energy):
+                with pytest.raises(DomainError, match="float range"):
+                    f(qg.GasModel(stat, eta=eta), p)
+
+
 def test_a_field_rejects_a_point_where_one_rung_of_several_leaves_the_range():
     # c_3 overflows while c_1 and c_2 stay finite: metric raises, so the
     # metric field raises there too, and the one-rung free energy field does not
